@@ -18,6 +18,7 @@ Infinite exponents are written as the literal string ``inf``.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -125,6 +126,18 @@ def _write_centers(centers, path: str) -> None:
                 fh.write(",".join(f"{x:.17g}" for x in c) + "\n")
 
 
+def _json_int(n: int):
+    """n as a JSON int when its decimal form fits the int-to-str digit limit
+    (``sys.get_int_max_str_digits``), else that decimal form as a string, so
+    a reader under the same limit can still parse the output."""
+    try:
+        str(n)
+    except ValueError:
+        # Decimal converts without the limit and changes no global setting
+        return str(decimal.Decimal(n))
+    return n
+
+
 def _cmd_exact(args) -> dict:
     model = parse_model(args.model)
     result = hyperrect.exact_entropy(model, args.eps)
@@ -136,7 +149,7 @@ def _cmd_exact(args) -> dict:
         "certificate": {
             "effective_dim": result.effective_dim,
             "per_axis_counts": list(result.per_axis_counts),
-            "center_count": result.exact_product(),
+            "center_count": _json_int(result.exact_product()),
         },
         "warnings": [],
     }

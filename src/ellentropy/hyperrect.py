@@ -8,127 +8,140 @@ sup-norm covering number factors over the axes:
 so the entropy is an exact integer log.  The same number has a second,
 counting-function form
 
-    H(eps) = sum_k log2(1 + 1/k) * M_k(eps),   M_k(t) = #{n : mu_n > k t},
+    H(eps) = sum_k log2(1 + 1/k) * M_k(eps),   M_k(t) = #{n : mu_n > k t}.
 
-and the two must agree at the integer level, not merely within tolerance.
-To make that identity hold bit-for-bit, both routes below are driven by
-the exact rational ratios mu_n / eps (floats are exact rationals).
+Both routes are driven by the exact rational ratios mu_n / eps (floats are
+exact rationals).  The per-axis counts take few distinct values, so they
+are computed as runs: at each axis the count v is taken once, and the
+index search of ``sequences`` jumps to the last axis whose count is still
+v.  The work is one search per distinct count; head axes, whose counts all
+differ, cost one step each.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import constants
-from .errors import EnumerationTooLarge, InvalidModel, ScanCapExceeded
+from .errors import EnumerationTooLarge, InvalidModel, ScanCapExceeded, UnboundedCount
 from .numerics import kahan_sum, log2_bigint
-from .sequences import SemiAxisModel, Tabulated, axis
-
-LN2 = math.log(2.0)
+from .sequences import SemiAxisModel, _last_exceeding, _monotone_start, axis
 
 _AXIS_CAP = 10**8
 ENUMERATION_CAP = 10**7
+
+Runs = Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class HyperrectEntropy:
     """Exact entropy of a hyperrectangle in sup-norm.
 
-    ``per_axis_counts`` lists ceil(mu_n/eps) for every axis needing more
-    than one point; axes already inside one ball are omitted.
+    ``count_runs`` holds the counts ceil(mu_n/eps) of the axes needing more
+    than one point as (count, multiplicity) pairs, one per maximal run of
+    equal counts, in axis order; axes already inside one ball are omitted.
+    ``per_axis_counts`` expands the runs to one count per axis.
     """
 
     bits: float
-    per_axis_counts: Tuple[int, ...]
+    count_runs: Runs
     effective_dim: int
+
+    @property
+    def per_axis_counts(self) -> Tuple[int, ...]:
+        return tuple(
+            itertools.chain.from_iterable(itertools.repeat(v, m) for v, m in self.count_runs)
+        )
 
     def exact_product(self) -> int:
         """The covering number as an exact integer."""
-        return math.prod(self.per_axis_counts)
+        return _run_product(self.count_runs)
 
 
-def _ceil_fraction(r: Fraction) -> int:
-    # Exact ceiling; an integer ratio keeps its value.
-    return -((-r.numerator) // r.denominator)
+def _ceil_ratio(mu: float, feps: Fraction) -> int:
+    # Exact ceiling of mu/eps; an integer ratio keeps its value.
+    return -(-Fraction(mu) // feps)
 
 
-def _axis_ratios(model: SemiAxisModel, eps: float) -> List[Fraction]:
-    """Exact ratios mu_n/eps for every axis with mu_n > eps.
+def _count_runs(model: SemiAxisModel, eps: float) -> Tuple[Runs, int]:
+    """The runs of counts ceil(mu_n/eps) > 1 in axis order, and their total
+    multiplicity (the effective dimension).
 
-    The supported families are unimodal at worst (a negative second term
-    can lift the head of a two-term sequence), so the scan only stops once
-    the axes sit at or below eps while non-increasing.
+    A rising two-term head is taken axis by axis; past it each run ends at
+    the last axis with mu_n > (v - 1) eps.  A dimension above the cap
+    raises before any run is built.
     """
     if eps <= 0:
         raise InvalidModel("eps must be positive")
     feps = Fraction(eps)
-    ratios: List[Fraction] = []
-    table = isinstance(model, Tabulated) and model.tail is None
-    prev = None
-    for n in range(1, _AXIS_CAP + 1):
-        if table and n > len(model.values):
-            break
-        mu = axis(model, n)
-        if mu > eps:
-            ratios.append(Fraction(mu) / feps)
-        elif prev is not None and mu <= prev:
-            break
-        prev = mu
-    else:
-        raise ScanCapExceeded("axis scan exceeded cap; model does not decay?")
-    return ratios
+    runs: List[Tuple[int, int]] = []
+
+    def add(v: int, m: int) -> None:
+        if runs and runs[-1][0] == v:
+            m += runs.pop()[1]
+        runs.append((v, m))
+
+    start = _monotone_start(model)
+    for n in range(1, start):
+        v = _ceil_ratio(axis(model, n), feps)
+        if v > 1:
+            add(v, 1)
+    try:
+        last = _last_exceeding(model, start, feps)
+    except UnboundedCount as exc:
+        raise ScanCapExceeded(f"effective dimension beyond the cap {_AXIS_CAP}") from exc
+    dim = sum(m for _, m in runs) + last - start + 1
+    if dim > _AXIS_CAP:
+        raise ScanCapExceeded(f"effective dimension {dim} exceeds the cap {_AXIS_CAP}")
+    n = start
+    while n <= last:
+        v = _ceil_ratio(axis(model, n), feps)
+        end = _last_exceeding(model, n + 1, (v - 1) * feps)
+        add(v, end - n + 1)
+        n = end + 1
+    return tuple(runs), dim
+
+
+def _run_product(runs: Runs) -> int:
+    """prod v**m over the runs, multiplied as a balanced tree."""
+    factors = [v**m for v, m in runs] or [1]
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
 
 
 def exact_entropy(model: SemiAxisModel, eps: float) -> HyperrectEntropy:
     """Exact sup-norm entropy; the axis product is accumulated as a big
     integer before taking the log, so the bits value is exact up to one
     float rounding."""
-    counts = tuple(_ceil_fraction(r) for r in _axis_ratios(model, eps))
-    product = math.prod(counts)
+    runs, dim = _count_runs(model, eps)
+    product = _run_product(runs)
     bits = 0.0 if product == 1 else log2_bigint(product)
-    return HyperrectEntropy(bits=bits, per_axis_counts=counts, effective_dim=len(counts))
-
-
-def _threshold_counts(model: SemiAxisModel, eps: float) -> List[int]:
-    """[M_1, ..., M_K] with K = max per-axis count - 1, from exact ratios."""
-    counts = [_ceil_fraction(r) for r in _axis_ratios(model, eps)]
-    if not counts:
-        return []
-    K = max(counts) - 1
-    hist = [0] * (K + 2)
-    for m in counts:
-        hist[1] += 1
-        hist[m] -= 1  # axis contributes to M_k for k = 1..m-1
-    M = []
-    running = 0
-    for k in range(1, K + 1):
-        running += hist[k]
-        M.append(running)
-    return M
+    return HyperrectEntropy(bits=bits, count_runs=runs, effective_dim=dim)
 
 
 def exact_entropy_counting(model: SemiAxisModel, eps: float) -> float:
-    """The counting-function form sum_k log2(1+1/k) M_k(eps), in bits."""
-    return kahan_sum(
-        math.log1p(1.0 / k) / LN2 * m
-        for k, m in enumerate(_threshold_counts(model, eps), start=1)
-    )
+    """The counting-function form sum_k log2(1+1/k) M_k(eps), in bits.
 
-
-def counting_product(model: SemiAxisModel, eps: float) -> Fraction:
-    """prod_k ((k+1)/k)**M_k as an exact rational.
-
-    Telescoping makes this equal to the integer product of exact_entropy;
-    the equality is asserted by tests at the integer level.
+    M_k is constant for k between adjacent distinct counts k1 < k2 (k1 = 1
+    below the smallest): there it is #{n : ceil(mu_n/eps) >= k2}, and the
+    terms for k in [k1, k2) telescope to M_k * log2(k2/k1).
     """
-    out = Fraction(1)
-    for k, m in enumerate(_threshold_counts(model, eps), start=1):
-        out *= Fraction(k + 1, k) ** m
-    return out
+    multiplicity = Counter()
+    for v, m in _count_runs(model, eps)[0]:
+        multiplicity[v] += m
+    counts = sorted(multiplicity, reverse=True)
+    M = 0
+    terms = []
+    for k2, k1 in zip(counts, counts[1:] + [1]):
+        M += multiplicity[k2]
+        terms.append(M * math.log2(k2 / k1))
+    return kahan_sum(terms)
 
 
 def optimal_covering(
@@ -146,7 +159,7 @@ def optimal_covering(
     if any(a <= 0 for a in axes):
         raise InvalidModel("axes must be positive")
     feps = Fraction(eps)
-    counts = [_ceil_fraction(Fraction(a) / feps) if a > eps else 1 for a in axes]
+    counts = [_ceil_ratio(a, feps) if a > eps else 1 for a in axes]
     total = math.prod(counts)
     if total > cap:
         # the exact count rides on the exception; render huge ones in log2

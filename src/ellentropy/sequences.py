@@ -13,12 +13,14 @@ supported:
   aggregate quantities treat indices past the table as absent.
 
 On top of evaluation the module provides the threshold counting function
-M_k(t) = #{n : mu_n > k*t}, partial log-products, certified two-sided
-bounds on tail power sums, and the Cesaro mean of log(mu_n / mu_N).
+M_k(t) = #{n : mu_n > k*t} and the index search behind it, partial
+log-products, certified two-sided bounds on tail power sums, and the
+Cesaro mean of log(mu_n / mu_N).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,16 +30,9 @@ from .errors import (
     DivergentTail,
     IndexBeyondTable,
     InvalidModel,
-    ScanCapExceeded,
     UnboundedCount,
 )
 from .numerics import Interval, kahan_sum
-
-LN2 = math.log(2.0)
-
-# Hard ceiling for index scans; decaying models terminate far earlier.
-SCAN_CAP = 10**8
-
 
 @dataclass(frozen=True)
 class Canonical:
@@ -198,75 +193,92 @@ def ensure_non_increasing(model: SemiAxisModel, upto: int) -> None:
             prev = cur
 
 
-def _exceeds(model: SemiAxisModel, n: int, threshold: Fraction) -> bool:
-    """Exact comparison mu_n > threshold.
+def _above(model: SemiAxisModel, n: int, t: Fraction) -> bool:
+    """The membership test mu_n > t: the float axis(model, n), compared
+    exactly (floats are exact rationals), with no tolerance either way."""
+    return Fraction(axis(model, n)) > t
 
-    For a canonical law with integer decay the comparison is done in
-    rational arithmetic (floats are exact rationals); otherwise mu_n is
-    evaluated in floating point and compared bit-exactly, with no
-    tolerance in either direction.
+
+def _monotone_start(model: SemiAxisModel) -> int:
+    """An index from which the sequence is non-increasing.
+
+    Only a two-term law with c2 < 0 can rise: c1 x**-a1 + c2 x**-a2 then
+    peaks at x* = (a2 |c2| / (a1 c1))**(1/(a2 - a1)) and falls past it.
     """
-    if isinstance(model, Canonical) and float(model.b).is_integer():
-        return Fraction(model.c) > threshold * (Fraction(n) ** int(model.b))
-    if isinstance(model, Tabulated) and n <= len(model.values):
-        return Fraction(model.values[n - 1]) > threshold
-    return Fraction(axis(model, n)) > threshold
+    if isinstance(model, TwoTermPolynomial) and model.c2 < 0:
+        peak = (model.alpha2 * -model.c2 / (model.alpha1 * model.c1)) ** (
+            1.0 / (model.alpha2 - model.alpha1)
+        )
+        return int(peak) + 1
+    return 1
+
+
+def _last_exceeding(model: SemiAxisModel, start: int, t: Fraction) -> int:
+    """The largest n >= start - 1 with mu_m > t for every m in [start, n].
+
+    ``start`` must lie on the non-increasing part of the sequence (see
+    ``_monotone_start``), where the passing indices form a prefix; the
+    result is start - 1 when mu_start <= t.  Canonical laws and canonical
+    tails take O(1) tests, tables a bisection, and two-term laws a gallop
+    followed by a bisection.
+    """
+    if isinstance(model, Canonical):
+        return _last_canonical(model, start, t)
+    if isinstance(model, Tabulated):
+        L = len(model.values)
+        # the first failing 0-based position is the last passing 1-based index
+        last = bisect.bisect_left(
+            model.values, True, lo=min(start - 1, L), key=lambda v: Fraction(v) <= t
+        )
+        if last < L or model.tail is None:
+            return last
+        return _last_canonical(model.tail, max(start, L + 1), t)
+    lo, step = start - 1, 1
+    while _above(model, lo + step, t):
+        lo += step
+        step *= 2
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _above(model, mid, t):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _last_canonical(model: Canonical, start: int, t: Fraction) -> int:
+    """``_last_exceeding`` for a canonical law (or tail, at global indices)."""
+    try:
+        x = (model.c / float(t)) ** (1.0 / model.b)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise UnboundedCount("threshold underflows the canonical closed form")
+    n = max(start - 1, math.ceil(x) - 1)
+    # Correct floating-point boundary drift with exact comparisons.
+    while _above(model, n + 1, t):
+        n += 1
+    while n >= start and not _above(model, n, t):
+        n -= 1
+    return n
 
 
 def counting(model: SemiAxisModel, t: float, k: int = 1) -> int:
     """M_k(t) = #{n : mu_n > k*t}, with strict inequality.
 
-    Canonical counts come from the closed form ceil((c/(k t))**(1/b)) - 1,
-    corrected at the boundary with the exact comparison; tabulated and
-    two-term models are scanned.
+    The test is the one ``hyperrect.exact_entropy`` uses, so M_1(eps) is
+    its effective dimension at every eps.  The rising head of a two-term
+    law is tested axis by axis; past it the index search answers.
     """
     if t <= 0:
         raise InvalidModel("threshold t must be positive")
     if k < 1:
         raise InvalidModel("k must be >= 1")
     threshold = Fraction(k) * Fraction(t)
-
-    if isinstance(model, Canonical):
-        return _counting_canonical(model, threshold, offset=0)
-
-    if isinstance(model, Tabulated):
-        count = 0
-        for v in model.values:
-            if Fraction(v) > threshold:
-                count += 1
-            else:
-                return count
-        if model.tail is None:
-            # The table is the whole (finite) sequence; indices beyond it
-            # are absent and contribute nothing.  A non-decaying table can
-            # therefore never make the count unbounded.
-            return count
-        return count + _counting_canonical(model.tail, threshold, offset=len(model.values))
-
-    # Two-term: scan until the sequence drops below the threshold.
-    count = 0
-    for n in range(1, SCAN_CAP + 1):
-        if _exceeds(model, n, threshold):
-            count += 1
-        else:
-            return count
-    raise ScanCapExceeded("counting scan exceeded cap")
-
-
-def _counting_canonical(model: Canonical, threshold: Fraction, offset: int) -> int:
-    """#{n > offset : c*n**-b > threshold} for a canonical law."""
-    if threshold <= 0:
-        raise UnboundedCount("non-positive threshold on a canonical law")
-    x = (model.c / float(threshold)) ** (1.0 / model.b)
-    if not math.isfinite(x):
-        raise UnboundedCount("threshold underflows the canonical closed form")
-    m = max(0, math.ceil(x) - 1)
-    # Correct floating-point boundary drift with exact comparisons.
-    while _exceeds(model, m + 1, threshold):
-        m += 1
-    while m >= 1 and not _exceeds(model, m, threshold):
-        m -= 1
-    return max(0, m - offset)
+    start = _monotone_start(model)
+    head = sum(1 for n in range(1, start) if _above(model, n, threshold))
+    return head + _last_exceeding(model, start, threshold) - (start - 1)
 
 
 def log_product(model: SemiAxisModel, d: int) -> float:

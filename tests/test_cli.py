@@ -1,9 +1,12 @@
+import decimal
 import json
 import math
+import sys
 
 import pytest
 
 from ellentropy.cli import main, parse_model
+from ellentropy.hyperrect import exact_entropy
 from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial
 
 
@@ -43,6 +46,7 @@ class TestExact:
         assert payload["value_bits"] == 4.0
         assert payload["kind"] == "exact"
         assert payload["epsilon"] == 0.3
+        assert payload["certificate"]["center_count"] == 16
 
     def test_nats_flag(self, capsys):
         code, out, _ = run(
@@ -58,6 +62,16 @@ class TestExact:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["value_bits"] == 4.0
+
+    def test_center_count_past_the_digit_limit(self, capsys):
+        # 9,999 axes: the covering number has more digits than json.loads
+        # accepts in an int, so it is written as a decimal string
+        code, out, _ = run(capsys, "exact", "--model", "canonical:b=1,c=1", "--eps", "1e-4")
+        assert code == 0
+        count = json.loads(out)["certificate"]["center_count"]
+        assert isinstance(count, str) and len(count) > sys.get_int_max_str_digits()
+        product = exact_entropy(Canonical(1.0, 1.0), 1e-4).exact_product()
+        assert decimal.Decimal(count) == decimal.Decimal(product)
 
     def test_centers_export_csv_and_json(self, capsys, tmp_path):
         csv_file = tmp_path / "centers.csv"

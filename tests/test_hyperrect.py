@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellentropy.constants import zeta_series_constant
-from ellentropy.errors import EnumerationTooLarge
+from ellentropy.errors import EnumerationTooLarge, ScanCapExceeded
 from ellentropy.hyperrect import (
     canonical_asymptotic,
-    counting_product,
     exact_entropy,
     exact_entropy_counting,
     optimal_covering,
 )
-from ellentropy.sequences import Canonical, Tabulated
+from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial, axis, counting
+
+import per_axis_reference as reference
 
 LN2 = math.log(2.0)
 
@@ -27,6 +29,7 @@ axes_lists = st.lists(
 class TestExactEntropy:
     def test_three_axis_table(self):
         r = exact_entropy(Tabulated((1.0, 0.5, 1 / 3)), 0.3)
+        assert r.count_runs == ((4, 1), (2, 2))
         assert r.per_axis_counts == (4, 2, 2)
         assert r.bits == 4.0
         assert r.effective_dim == 3
@@ -51,12 +54,73 @@ class TestExactEntropy:
     def test_sequence_rising_past_eps_after_a_dip(self):
         # mu_1 = 0.1 sits below eps but the sequence then climbs above it;
         # the exact formula must account for every axis above eps
-        from ellentropy.sequences import TwoTermPolynomial
-
         m = TwoTermPolynomial(c1=1.0, c2=-0.9, alpha1=0.5, alpha2=3.0)
         r = exact_entropy(m, 0.3)
         assert r.effective_dim == 10  # axes n = 2..11 exceed 0.3
-        assert counting_product(m, 0.3) == Fraction(r.exact_product())
+        assert reference.counting_product(m, 0.3) == Fraction(r.exact_product())
+
+    def test_cap_raises_before_any_run(self):
+        # d* = 10**10 is above the 10**8 cap; the closed form finds it at once
+        start = time.perf_counter()
+        with pytest.raises(ScanCapExceeded):
+            exact_entropy(Canonical(0.5, 1.0), 1e-5)
+        assert time.perf_counter() - start < 1.0
+
+
+def _midpoint(model, n):
+    return 0.5 * (axis(model, n) + axis(model, n + 1))
+
+
+RISING = TwoTermPolynomial(1.0, -0.9, 0.5, 3.0)  # mu_1 = 0.1, mu_2 = 0.59
+TAILED = Tabulated((1.0, 0.5), tail=Canonical(1.0, 1.0))
+SHORT = Tabulated((1.3, 0.8, 0.8, 0.3))
+
+# (model, eps): eps at axis midpoints, at exact axis values (ties) and at
+# integer ratios mu_n/eps (powers of two divide 1/n exactly for n = 2**j)
+REFERENCE_CASES = [
+    (Canonical(1.0, 1.0), 1e-3),
+    (Canonical(1.0, 1.0), 2.0**-10),
+    (Canonical(1.0, 3.0), 0.375),
+    (Canonical(2.0, 1.0), 2.0**-12),
+    (Canonical(0.5, 1.0), 0.03),
+    (Canonical(0.5, 1.7), _midpoint(Canonical(0.5, 1.7), 5000)),
+    (Canonical(0.75, 2.3), axis(Canonical(0.75, 2.3), 777)),
+    (Canonical(0.75, 2.3), _midpoint(Canonical(0.75, 2.3), 20000)),
+    (Canonical(2.0, 0.7), axis(Canonical(2.0, 0.7), 12)),
+    (RISING, 0.2),
+    (RISING, 0.3),
+    (RISING, 0.05),
+    (RISING, 0.1),
+    (TwoTermPolynomial(1.0, -0.3, 1.6, 2.1), 1e-3),
+    (TwoTermPolynomial(1.0, -0.3, 0.6, 1.2), _midpoint(TwoTermPolynomial(1.0, -0.3, 0.6, 1.2), 9000)),
+    (TwoTermPolynomial(1.0, 1.0, 1.0, 1.25), 1e-4),
+    (TwoTermPolynomial(1.0, 1.0, 1.0, 1.25), axis(TwoTermPolynomial(1.0, 1.0, 1.0, 1.25), 40)),
+    (TwoTermPolynomial(2.0, 0.5, 0.75, 1.5), 2.0**-8),
+    (TAILED, 0.3),
+    (TAILED, 0.5),
+    (TAILED, 0.09),
+    (TAILED, 1e-4),
+    (Tabulated((1.0, 0.5), tail=Canonical(2.0, 1.0)), 2.0**-12),
+    (SHORT, 0.35),
+    (SHORT, 0.8),
+    (SHORT, 0.1),
+    (SHORT, 0.8 / 3),
+    (Tabulated((1.0,)), 0.5),
+]
+
+
+class TestPerAxisReference:
+    @pytest.mark.parametrize("model,eps", REFERENCE_CASES)
+    def test_runs_match_per_axis_loop(self, model, eps):
+        r = exact_entropy(model, eps)
+        counts = reference.per_axis_counts(model, eps)
+        product = reference.product(model, eps)
+        assert r.bits.hex() == (0.0 if product == 1 else math.log2(product)).hex()
+        assert r.exact_product() == product
+        assert r.per_axis_counts == counts
+        assert r.effective_dim == len(counts) == counting(model, eps)
+        assert all(a[0] != b[0] for a, b in zip(r.count_runs, r.count_runs[1:]))
+        assert exact_entropy_counting(model, eps) == pytest.approx(r.bits, rel=1e-12, abs=1e-12)
 
 
 class TestCountingForm:
@@ -76,7 +140,7 @@ class TestCountingForm:
     @settings(max_examples=200, deadline=None)
     def test_dual_formula_integer_identity(self, axes, eps):
         model = Tabulated(axes)
-        assert counting_product(model, eps) == Fraction(exact_entropy(model, eps).exact_product())
+        assert reference.counting_product(model, eps) == Fraction(exact_entropy(model, eps).exact_product())
 
 
 class TestOptimalCovering:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellentropy.errors import DivergentTail, IndexBeyondTable, InvalidModel
+from ellentropy.hyperrect import exact_entropy
 from ellentropy.sequences import (
     Canonical,
     Tabulated,
@@ -85,6 +86,12 @@ class TestCounting:
         # mu_4 = 0.25 is not > 0.25, so the count stops at 3
         assert counting(Canonical(1, 1), 0.25) == 3
         assert counting(Canonical(2, 1), 0.25, k=1) == 1  # mu_2 = 1/4 excluded
+        # the float mu_n is the test, so a tie at eps = axis(model, n)
+        # excludes axis n, as in the exact entropy, for integer b too
+        for n in (3, 7, 49, 97):
+            eps = axis(Canonical(1, 1), n)
+            assert counting(Canonical(1, 1), eps) == n - 1
+            assert exact_entropy(Canonical(1, 1), eps).effective_dim == n - 1
 
     def test_table_with_tail(self):
         m = Tabulated((1.0, 0.5), tail=Canonical(b=1, c=1))
@@ -95,6 +102,10 @@ class TestCounting:
         m = TwoTermPolynomial(1, 1, 1, 1.25)
         # mu_n = 1/n + n^-1.25: mu_3 ~ 0.587, mu_4 ~ 0.427, mu_5 ~ 0.334
         assert counting(m, 0.4) == 4
+        # a rising head: mu_1 = 0.1 is below the threshold, mu_2 = 0.59 above
+        rising = TwoTermPolynomial(1, -0.9, 0.5, 3)
+        assert counting(rising, 0.2) == 23
+        assert exact_entropy(rising, 0.2).effective_dim == 23
 
     @given(
         b=st.floats(0.5, 4.0),
