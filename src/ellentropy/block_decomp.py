@@ -31,7 +31,10 @@ from .errors import (
     ScanCapExceeded,
 )
 from .finite_bounds import (
+    FD1,
+    FD2,
     FiniteEllipsoid,
+    admissible_radius,
     density_upper_bound,
     product_grid_upper_bound,
 )
@@ -239,10 +242,14 @@ def infinite_upper_bound(
     if d >= 3:
         rp, rq = p.reciprocal(), q.reciprocal()
         ell = FiniteEllipsoid(p, axes)
-        eta_fd1 = rho / (d ** (-max(rp - rq, 0.0)) * axes[-1])
-        eta = eta_fd1
+        candidates = [(rho / (d ** (-max(rp - rq, 0.0)) * axes[-1]), FD1)]
         if rp <= rq:
-            eta = min(eta, rho / (d ** (rq - rp) * axes[-1]))
+            candidates.append((rho / (d ** (rq - rp) * axes[-1]), FD2))
+        eta, density_case = min(candidates)
+        # eta * x * mu_d can round to just below rho; step eta up until the
+        # case's admissible radius reaches rho
+        while admissible_radius(ell, q, eta, density_case)[1] < rho:
+            eta = math.nextafter(eta, math.inf)
         fb = density_upper_bound(ell, q, rho, eta)
         bits = fb.log2_bound
         kappa = fb.kappa_used

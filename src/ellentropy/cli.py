@@ -149,6 +149,7 @@ def _cmd_exact(args) -> dict:
         "certificate": {
             "effective_dim": result.effective_dim,
             "per_axis_counts": list(result.per_axis_counts),
+            "count_runs": [[count, mult] for count, mult in result.count_runs],
             "center_count": _json_int(result.exact_product()),
         },
         "warnings": [],

@@ -12,6 +12,23 @@ box.  Greedy selection in a fixed lexicographic scan then produces
 
 Determinism is part of the contract: identical inputs give identical
 counts, regardless of how the distance computations are batched.
+
+Each greedy step works on an index window: the sub-box of grid cells
+whose centres lie, on every axis, within the step's reach of its centre
+plus one cell width.  The reach is eps when marking cells covered, 2 eps
+when marking cells unavailable to the packing, and, when snapping a
+cover centre, a computed distance from the snap target to a retained
+cell, which the nearest retained cell cannot exceed.  A cell outside the
+window is more than reach + one cell width away in some coordinate, so
+its computed q-norm distance exceeds the reach as well and the full-grid
+test would leave it unchanged.  Inside the window, distances are taken
+only for cells whose state can still change, each by the same float
+expression on the same coordinates as in a full-grid sweep, and a
+C-ordered sub-box keeps lexicographic order, so ``argmin`` breaks ties
+the same way.  The counts therefore do not depend on the batching.
+Because the set of covered (or unavailable) cells only grows, the first
+uncovered (or available) cell in lexicographic order is found by a
+pointer that only moves forward.
 """
 
 from __future__ import annotations
@@ -70,7 +87,12 @@ def _pnorm_mu(points: np.ndarray, axes: np.ndarray, p: HolderExponent) -> np.nda
 
 
 def _grid(axes: Tuple[float, ...], resolution: int) -> np.ndarray:
-    """Cell-center grid of the bounding box, lexicographic in the indices."""
+    """Cell-centre grid of the bounding box, shape ``(resolution,)*d + (d,)``.
+
+    Cell k of axis j has centre -a_j + (k + 1/2) w_j with cell width
+    w_j = 2 a_j / resolution; C order over the first d axes is
+    lexicographic order in the indices.
+    """
     d = len(axes)
     if resolution**d > GRID_POINT_CAP:
         raise EnumerationTooLarge(
@@ -79,8 +101,21 @@ def _grid(axes: Tuple[float, ...], resolution: int) -> np.ndarray:
     sides = [
         -a + (2 * np.arange(1, resolution + 1) - 1) * (a / resolution) for a in axes
     ]
-    mesh = np.meshgrid(*sides, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    return np.stack(np.meshgrid(*sides, indexing="ij"), axis=-1)
+
+
+def _window(
+    axes: Tuple[float, ...], resolution: int, centre: np.ndarray, reach: float
+) -> Tuple[slice, ...]:
+    """Index box of the cells whose centres lie within ``reach`` of
+    ``centre`` on every axis, widened by one cell width on each side."""
+    box = []
+    for a, c in zip(axes, centre.tolist()):
+        w = 2.0 * a / resolution
+        lo = math.ceil((c - reach - w + a) / w - 0.5)
+        hi = math.floor((c + reach + w + a) / w - 0.5)
+        box.append(slice(max(lo, 0), hi + 1))
+    return tuple(box)
 
 
 def _check_instance(E: FiniteEllipsoid, eps: float, resolution: int) -> None:
@@ -105,14 +140,21 @@ def greedy_cover(
     1 + slack, slack being the ellipsoid norm of the half-cell offsets;
     this guarantees that the cell center of any body point is retained, so
     the selected centers cover the whole body at radius eps + delta.
+
+    Each step takes the first uncovered cell in lexicographic order (a
+    forward-only pointer, as covered cells stay covered), snaps its
+    shifted point to the nearest retained cell inside the window the snap
+    can reach, and marks cells covered inside the eps-window of the chosen
+    centre only.  Cells outside a window fail the full-grid distance test
+    too, so the count equals that of a full-grid sweep at every step.
     """
     q = as_exponent(q)
     _check_instance(E, eps, resolution)
     half = _cell_half_widths(E, resolution)
-    pts = _grid(E.axes, resolution)
+    grid = _grid(E.axes, resolution)
     axes = np.array(E.axes)
     slack = float(_pnorm_mu(half[None, :], axes, E.p)[0])
-    pts = pts[_pnorm_mu(pts, axes, E.p) <= 1.0 + slack]
+    retained = _pnorm_mu(grid, axes, E.p) <= 1.0 + slack
     delta = float(_qnorm(half[None, :], q)[0])
 
     # Forward-diagonal shift of q-norm length 0.95 eps: the center for the
@@ -122,15 +164,33 @@ def greedy_cover(
     # advances a full frontier instead of hugging the scan axis.
     diag = np.ones(len(E.axes))
     shift = 0.95 * eps * diag / float(_qnorm(diag[None, :], q)[0])
-    covered = np.zeros(len(pts), dtype=bool)
-    count = 0
-    while not covered.all():
-        i = int(np.argmin(covered))  # first uncovered in lex order
-        c = int(np.argmin(_qnorm(pts - (pts[i] + shift), q)))
-        if _qnorm((pts[c] - pts[i])[None, :], q)[0] > eps:
-            c = i
+    points = grid.reshape(-1, len(E.axes))
+    covered = ~retained  # cells outside the body need no cover
+    flat = covered.reshape(-1)
+    count = i = 0
+    while True:
+        i += int(np.argmin(flat[i:]))  # first uncovered in lex order
+        if flat[i]:
+            break
+        point = points[i]
+        target = point + shift
+        # the nearest retained cell is no farther from target than point,
+        # nor than the cell holding target when that one is retained
+        reach = float(_qnorm((point - target)[None, :], q)[0])
+        home = tuple(np.minimum((target + axes) // (2.0 * half), resolution - 1).astype(int))
+        if retained[home]:
+            reach = min(reach, float(_qnorm((grid[home] - target)[None, :], q)[0]))
+        box = _window(E.axes, resolution, target, reach)
+        window = grid[box]
+        dist = np.where(retained[box], _qnorm(window - target, q), np.inf)
+        centre = window[np.unravel_index(np.argmin(dist), dist.shape)]
+        if _qnorm((centre - point)[None, :], q)[0] > eps:
+            centre = point
         count += 1
-        covered |= _qnorm(pts - pts[c], q) <= eps
+        box = _window(E.axes, resolution, centre, eps)
+        sub = covered[box]  # a view: writes land in covered
+        todo = ~sub
+        sub[todo] = _qnorm(grid[box][todo] - centre, q) <= eps
     return OracleReport(
         cover_count=count,
         pack_count=None,
@@ -140,16 +200,19 @@ def greedy_cover(
 
 
 def _greedy_pack_once(E: FiniteEllipsoid, q: HolderExponent, eps: float, resolution: int) -> int:
-    pts = _grid(E.axes, resolution)
-    axes = np.array(E.axes)
-    pts = pts[_pnorm_mu(pts, axes, E.p) <= 1.0]  # strict membership
-    available = np.ones(len(pts), dtype=bool)
-    count = 0
-    while available.any():
-        i = int(np.argmax(available))  # first available in lex order
+    grid = _grid(E.axes, resolution)
+    available = _pnorm_mu(grid, np.array(E.axes), E.p) <= 1.0  # strict membership
+    points = grid.reshape(-1, len(E.axes))
+    flat = available.reshape(-1)
+    count = i = 0
+    while True:
+        i += int(np.argmax(flat[i:]))  # first available in lex order
+        if not flat[i]:
+            return count
         count += 1
-        available &= _qnorm(pts - pts[i], q) > 2.0 * eps
-    return count
+        box = _window(E.axes, resolution, points[i], 2.0 * eps)
+        sub = available[box]  # a view: writes land in available
+        sub[sub] = _qnorm(grid[box][sub] - points[i], q) > 2.0 * eps
 
 
 def greedy_pack(

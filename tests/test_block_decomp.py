@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ellentropy import block_decomp
 from ellentropy.block_decomp import (
     CASE_I,
     CASE_II,
@@ -17,9 +18,10 @@ from ellentropy.block_decomp import (
     omega_lattice_count,
     tail_radius,
 )
-from ellentropy.errors import DivergentTail, EntropyError, NonCompactRegime
+from ellentropy.errors import DivergentTail, EntropyError, NonCompactRegime, ScanCapExceeded
+from ellentropy.finite_bounds import density_upper_bound
 from ellentropy.hyperrect import exact_entropy
-from ellentropy.sequences import Canonical, Tabulated, axis, tail_power_sum
+from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial, axis, tail_power_sum
 
 INF = math.inf
 
@@ -126,6 +128,50 @@ class TestInfiniteUpperBound:
         rho, alpha = cert.inner_radii[0], cert.tail_radius
         assert (rho**2 + alpha**2) ** 0.5 <= 0.05 * (1 + 1e-12)
         assert cert.omega_count == 1
+
+    def test_radius_round_trip(self):
+        # eta = rho / (x mu_d) used to rebuild an admissible radius one ulp
+        # below rho, and the bound rejected its own radius
+        result, cert = infinite_upper_bound(Canonical(1, 1), 2, 1.5, 0.021695198914988667)
+        assert cert.tail_case == CASE_II
+        assert "density case FD2" in cert.notes
+        assert result.bits > 0
+
+    def test_full_exponent_grid_admits_every_radius(self, monkeypatch):
+        # every model family over the full (p, q) grid at log-spaced radii:
+        # a bound either holds with rho inside its own admissible interval
+        # or the regime is non-compact or past the dimension cap
+        bounds = []
+
+        def recording(E, q, eps, eta):
+            bound = density_upper_bound(E, q, eps, eta)
+            bounds.append((eps, bound.valid_radius_range))
+            return bound
+
+        monkeypatch.setattr(block_decomp, "density_upper_bound", recording)
+        head = tuple(0.9 * 0.82**i for i in range(24))
+        models = [
+            Canonical(2.0, 1.0),
+            Canonical(1.5, 0.7),
+            Canonical(1.0, 0.1),
+            TwoTermPolynomial(1.0, -0.3, 1.6, 2.1),
+            Tabulated(head, Canonical(0.6677, 0.01)),
+            Tabulated(tuple(float(n) ** -0.7 for n in range(1, 41))),
+        ]
+        exponents = (1.0, 1.5, 2.0, 3.0, INF)
+        radii = [0.005 * (0.63 / 0.005) ** (k / 11) for k in range(12)]
+        answered = 0
+        for model, p, q, eps in itertools.product(models, exponents, exponents, radii):
+            bounds.clear()
+            try:
+                _, cert = infinite_upper_bound(model, p, q, eps)
+            except (NonCompactRegime, ScanCapExceeded):
+                continue
+            answered += 1
+            for rho, (lo, hi) in bounds:
+                assert rho == cert.inner_radii[0]
+                assert lo < rho <= hi, (model, p, q, eps)
+        assert answered > 1700
 
     def test_finite_table_any_radius(self):
         result, cert = infinite_upper_bound(Tabulated((1.0, 0.5, 0.25)), INF, INF, 0.2)

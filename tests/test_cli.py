@@ -48,6 +48,17 @@ class TestExact:
         assert payload["epsilon"] == 0.3
         assert payload["certificate"]["center_count"] == 16
 
+    @pytest.mark.parametrize("model,eps", [("canonical:b=1,c=1", 0.3), ("canonical:b=1,c=1", 0.003),
+                                           ("table:values=1.0;0.5;0.5;0.2", 0.1)])
+    def test_count_runs_expand_to_per_axis_counts(self, capsys, model, eps):
+        code, out, _ = run(capsys, "exact", "--model", model, "--eps", str(eps))
+        assert code == 0
+        cert = json.loads(out)["certificate"]
+        expanded = [count for count, mult in cert["count_runs"] for _ in range(mult)]
+        assert expanded == cert["per_axis_counts"]
+        assert all(mult > 0 for _, mult in cert["count_runs"])
+        assert all(a != b for (a, _), (b, _) in zip(cert["count_runs"], cert["count_runs"][1:]))
+
     def test_nats_flag(self, capsys):
         code, out, _ = run(
             capsys, "exact", "--model", "canonical:b=1,c=1", "--eps", "0.3", "--nats"

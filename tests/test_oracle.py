@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from ellentropy.constants import HolderExponent
+import grid_reference as reference
+from ellentropy.constants import HolderExponent, as_exponent
 from ellentropy.errors import EnumerationTooLarge, EntropyError
 from ellentropy.finite_bounds import FiniteEllipsoid
 from ellentropy.oracle import greedy_cover, greedy_pack, sandwich_report
@@ -119,3 +120,71 @@ class TestSandwich:
         assert rep.report.pack_count <= rep.report.cover_count * 4  # sanity
         assert rep.report.delta > 0
         assert rep.values["upper_kind"] in ("density", "product-grid")
+
+
+EXPONENTS = (1.0, 1.5, 2.0, 3.0, INF)
+
+
+def _admissible(d, p, q, smallest_axis):
+    # the density bound's FD1 radius at eta = 1, as in acceptance criterion 5
+    rp, rq = as_exponent(p).reciprocal(), as_exponent(q).reciprocal()
+    return d ** (-max(rp - rq, 0.0)) * smallest_axis
+
+
+def _reference_cases():
+    rng = random.Random(5)
+    cases = []
+    for d in (1, 2, 3):
+        for p in EXPONENTS:
+            for q in EXPONENTS:
+                # d = 3 keeps to resolution 32, fatter axes and larger radii
+                # so that the full-grid reference stays fast
+                if d == 3:
+                    low, factor, resolutions = 0.3, 0.5, (8, 16, 32)
+                else:
+                    low, factor, resolutions = 0.05, 0.2, (8, 16, 32, 64, 128)
+                axes = tuple(sorted((rng.uniform(low, 1.0) for _ in range(d)), reverse=True))
+                eps = rng.uniform(factor, 1.2) * _admissible(d, p, q, axes[-1])
+                res = rng.choice(resolutions)
+                cases.append(pytest.param(p, axes, q, eps, res, id=f"d{d}-p{p}-q{q}-r{res}"))
+    for q in (1.0, 2.0, INF):
+        cases.append(pytest.param(2.0, (1.0, 1e-6), q, 0.3, 64, id=f"flat-q{q}"))
+        cases.append(pytest.param(3.0, (1.0, 0.6, 0.3), q, 2.5, 16, id=f"huge-radius-q{q}"))
+    return cases
+
+
+class TestWindowedMatchesReference:
+    @pytest.mark.parametrize("p,axes,q,eps,res", _reference_cases())
+    def test_counts_equal_full_grid_sweep(self, p, axes, q, eps, res):
+        E = ell(p, axes)
+        assert greedy_cover(E, q, eps, res).cover_count == reference.cover_count(E, q, eps, res)
+        assert greedy_pack(E, q, eps, res).pack_count == reference.pack_count(E, q, eps, res)
+
+
+# (cover, pack) of the 50 acceptance criterion-5 instances at resolution
+# 64, as the full-grid oracle counted them
+CRITERION_5_COUNTS = [
+    (4, 4), (5, 4), (77, 15), (642, 16), (83, 8), (14, 8), (8, 4), (68, 19), (82, 19), (158, 29),
+    (8, 5), (59, 10), (147, 33), (35, 6), (6, 6), (6, 4), (6, 5), (8, 6), (9, 6), (11, 8),
+    (11, 5), (198, 51), (46, 8), (246, 28), (8, 3), (174, 47), (77, 15), (6, 5), (105, 29), (8, 3),
+    (25, 4), (14, 8), (11, 7), (72, 11), (102, 19), (48, 15), (121, 14), (25, 7), (97, 19), (36, 6),
+    (25, 8), (7, 4), (98, 10), (6, 5), (12, 4), (7, 4), (4, 4), (36, 8), (15, 9), (12, 4),
+]
+
+
+class TestGoldenCounts:
+    def test_criterion_5_instances(self):
+        # the instance generator of tests/test_acceptance.py, criterion 5
+        rng = random.Random(20240809)
+        counts = []
+        for _ in range(50):
+            d = rng.choice([2, 3])
+            p = rng.choice([1.0, 2.0, INF])
+            q = rng.choice([1.0, 2.0, INF])
+            axes = tuple(sorted((rng.uniform(0.45, 1.0) for _ in range(d)), reverse=True))
+            E = ell(p, axes)
+            rp, rq = as_exponent(p).reciprocal(), as_exponent(q).reciprocal()
+            # the same float expression: one ulp of eps can move a count
+            eps = 0.75 * d ** (-max(rp - rq, 0.0)) * axes[-1]
+            counts.append((greedy_cover(E, q, eps, 64).cover_count, greedy_pack(E, q, eps, 64).pack_count))
+        assert counts == CRITERION_5_COUNTS
