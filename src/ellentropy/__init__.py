@@ -31,7 +31,6 @@ from .constants import (
     HolderExponent,
     as_exponent,
     gamma_pq,
-    log_gamma,
     unit_ball_log_volume,
     volume_ratio,
     zeta,

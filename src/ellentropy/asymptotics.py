@@ -28,12 +28,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .constants import ExponentLike, as_exponent, gamma_pq
-from .errors import EntropyError, NonCompactRegime, ScanCapExceeded, UnsupportedCorner
+from .constants import LN2, ExponentLike, as_exponent, gamma_pq
+from .errors import (
+    EntropyError,
+    NonCompactRegime,
+    ScanCapExceeded,
+    UnboundedCount,
+    UnsupportedCorner,
+)
 from .numerics import kahan_sum
-from .sequences import SemiAxisModel, axis, table_length
-
-LN2 = math.log(2.0)
+from .sequences import SemiAxisModel, axis
 
 NONCOMPACT_A = "NonCompact_a"
 NONCOMPACT_B = "NonCompact_b"
@@ -148,6 +152,18 @@ def classify(
     return Regime(COMPACT_IV, b_star, lower_const=lower)
 
 
+def _scaled_power(what: str, factor: float, base: float, exponent: float) -> float:
+    """factor * base**exponent, or an EntropyError naming ``what`` when
+    the value leaves the (real) float range."""
+    try:
+        out = factor * base**exponent
+    except OverflowError:
+        out = math.inf
+    if not (isinstance(out, float) and math.isfinite(out)):
+        raise EntropyError(f"{what} leaves the float range")
+    return out
+
+
 class EntropyBand(NamedTuple):
     """Two-sided asymptotic enclosure in bits (leading terms only)."""
 
@@ -177,16 +193,14 @@ def canonical_band(
     if regime.case not in (COMPACT_III, COMPACT_IV):
         raise NonCompactRegime(f"no finite band in case {regime.case}")
     bst = regime.b_star
-    lower = (b / LN2) * (gamma_pq(pe, qe) * c / eps) ** (1.0 / bst)
+    lower = _scaled_power("lower band edge", b / LN2, gamma_pq(pe, qe) * c / eps, 1.0 / bst)
     if regime.case == COMPACT_III:
-        upper = (b / LN2 + 1.0) * (gamma_pqb(pe, qe, b) * c / eps) ** (1.0 / bst)
+        base = gamma_pqb(pe, qe, b) * c / eps
+        upper = _scaled_power("upper band edge", b / LN2 + 1.0, base, 1.0 / bst)
         return EntropyBand(lower, upper, False)
-    growth = eps ** (-1.0 / bst)
     loginv = math.log2(1.0 / eps)
-    if b >= 1.0:
-        upper = growth * math.log2(max(2.0, loginv))
-    else:
-        upper = growth * loginv ** (1.0 - b)
+    factor = math.log2(max(2.0, loginv)) if b >= 1.0 else loginv ** (1.0 - b)
+    upper = _scaled_power("upper band edge", factor, eps, -1.0 / bst)
     return EntropyBand(lower, upper, True)
 
 
@@ -194,7 +208,8 @@ def hilbert_leading(b: float, c: float, eps: float) -> float:
     """Exact leading term b c^(1/b)/ln2 * eps^(-1/b) of the p=q=2 entropy."""
     if eps <= 0 or c <= 0 or b <= 0:
         raise EntropyError("b, c, eps must be positive")
-    return b * c ** (1.0 / b) / LN2 * eps ** (-1.0 / b)
+    scale = _scaled_power("Hilbert leading term", b, c, 1.0 / b) / LN2
+    return _scaled_power("Hilbert leading term", scale, eps, -1.0 / b)
 
 
 def hilbert_second_order(
@@ -220,9 +235,7 @@ def hilbert_second_order(
     return lead + second
 
 
-def _largest_index_exceeding(
-    surrogate, eps: float, cap: int, finite_end: Optional[int] = None
-) -> int:
+def _largest_index_exceeding(surrogate, eps: float, finite_end: Optional[int]) -> int:
     """max{d : surrogate(d) > eps} for a unimodal surrogate, 0 if none.
 
     The supported families give surrogates of the form A d^u + B d^v (at
@@ -232,7 +245,7 @@ def _largest_index_exceeding(
     """
     last = 0
     prev = None
-    end = cap if finite_end is None else min(cap, finite_end)
+    end = _SCAN_CAP if finite_end is None else min(_SCAN_CAP, finite_end)
     for d in range(1, end + 1):
         val = surrogate(d)
         if val > eps:
@@ -242,31 +255,35 @@ def _largest_index_exceeding(
         prev = val
     if finite_end is not None and end == finite_end:
         return last
-    raise ScanCapExceeded(f"surrogate still above eps at the scan cap {cap}")
+    raise ScanCapExceeded(f"surrogate still above eps at the scan cap {_SCAN_CAP}")
 
 
-def entropy_estimator(model: SemiAxisModel, eps: float, cap: int = _SCAN_CAP) -> float:
+def entropy_estimator(model: SemiAxisModel, eps: float) -> float:
     """sum_{n <= d*} log2(mu_n / eps) with d* = max{n : mu_n > eps}.
 
     Reproduces the p = q = 2 asymptotic orders; the reference level eps
-    (instead of mu_{d*}) changes the value by O(1) only.
+    (instead of mu_{d*}) changes the value by O(1) only.  d* comes from
+    the search ``counting`` uses: the head before the monotone start axis
+    by axis, then the model's index search.
     """
-    if eps <= 0:
-        raise EntropyError("eps must be positive")
-    d_star = _largest_index_exceeding(
-        lambda d: axis(model, d), eps, cap, finite_end=table_length(model)
-    )
+    if not 0 < eps < math.inf:
+        raise EntropyError("eps must be positive and finite")
+    start = model.monotone_start()
+    try:
+        d_star = model.last_exceeding(start, Fraction(eps))
+    except UnboundedCount as exc:
+        raise ScanCapExceeded(f"d* is beyond the scan cap {_SCAN_CAP}") from exc
+    if d_star < start:
+        d_star = max((n for n in range(1, start) if axis(model, n) > eps), default=0)
+    if d_star >= _SCAN_CAP:
+        raise ScanCapExceeded(f"d* = {d_star} reaches the scan cap {_SCAN_CAP}")
     if d_star == 0:
         return 0.0
     return kahan_sum(math.log2(axis(model, n) / eps) for n in range(1, d_star + 1))
 
 
 def effective_dimension(
-    model: SemiAxisModel,
-    p: ExponentLike,
-    q: ExponentLike,
-    eps: float,
-    cap: int = _SCAN_CAP,
+    model: SemiAxisModel, p: ExponentLike, q: ExponentLike, eps: float
 ) -> int:
     """max{d : d^(1/q-1/p) mu_d > eps}; 0 when the surrogate never exceeds eps.
 
@@ -278,7 +295,7 @@ def effective_dimension(
     rp, rq = as_exponent(p).reciprocal(), as_exponent(q).reciprocal()
     e = rq - rp
     return _largest_index_exceeding(
-        lambda d: d**e * axis(model, d), eps, cap, finite_end=table_length(model)
+        lambda d: d**e * axis(model, d), eps, model.length
     )
 
 

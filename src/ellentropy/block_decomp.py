@@ -40,16 +40,7 @@ from .finite_bounds import (
 )
 from .numerics import kahan_sum
 from .results import CERTIFIED_LOWER, CERTIFIED_UPPER, BoundCertificate, EntropyResult
-from .sequences import (
-    SemiAxisModel,
-    axis,
-    decay_index,
-    ensure_non_increasing,
-    table_length,
-    tail_power_sum,
-)
-
-LN2 = math.log(2.0)
+from .sequences import SemiAxisModel, axis, ensure_non_increasing, tail_power_sum
 
 CASE_I = "I"
 CASE_II = "II"
@@ -95,7 +86,7 @@ class MixedEllipsoidSpec:
 
 
 def _intrinsic_b(model: SemiAxisModel, b: float) -> None:
-    known = decay_index(model)
+    known = model.decay_index
     if known is not None and not math.isclose(known, b, rel_tol=1e-12):
         raise EntropyError(
             f"model decays with index {known}, not the requested b={b}"
@@ -116,7 +107,7 @@ def tail_radius(
     if case == CASE_I:
         if rp < rq:
             raise EntropyError("case I requires p <= q")
-        if table_length(model) is not None and d >= table_length(model):
+        if model.length is not None and d >= model.length:
             return 0.0
         return axis(model, d + 1)
     if b <= 0:
@@ -156,7 +147,7 @@ def combined_radius(plan: BlockPlan, q: ExponentLike) -> float:
 
 def _pick_case(model: SemiAxisModel, p, q) -> Tuple[str, Optional[float]]:
     rp, rq = p.reciprocal(), q.reciprocal()
-    b = decay_index(model)
+    b = model.decay_index
     if b is None:
         # Complete finite table: the residual is empty from d = table length.
         if rp >= rq:
@@ -174,7 +165,7 @@ def _pick_case(model: SemiAxisModel, p, q) -> Tuple[str, Optional[float]]:
 
 
 def _tail_radius_any(model, d, p, q, case, b) -> float:
-    L = table_length(model)
+    L = model.length
     if L is not None and d >= L:
         return 0.0
     if case == CASE_I:

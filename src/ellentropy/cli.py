@@ -25,60 +25,43 @@ import sys
 from typing import List, Optional
 
 from . import asymptotics, besov, block_decomp, constants, finite_bounds, hyperrect, oracle
-from .constants import HolderExponent, as_exponent
+from .constants import LN2, HolderExponent, as_exponent
 from .errors import (
     EnumerationTooLarge,
     EntropyError,
     NonCompactRegime,
     ScanCapExceeded,
 )
-from .sequences import (
-    Canonical,
-    SemiAxisModel,
-    Tabulated,
-    TwoTermPolynomial,
-    axis,
-    model_from_json,
-)
+from .sequences import SemiAxisModel, axis, model_from_json
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NONCOMPACT = 3
 EXIT_CAP = 4
 
-LN2 = math.log(2.0)
-
 
 def parse_model(text: str) -> SemiAxisModel:
+    """A model from inline JSON, ``@file.json`` or the shorthand.
+
+    The shorthand ``kind:key=value,...`` becomes the JSON dict
+    ``{"kind": kind, key: value, ...}``, where a key ``outer_inner`` sets
+    field ``inner`` of the nested dict ``outer`` (``tail_b=1`` gives
+    ``{"tail": {"b": "1"}}``).
+    """
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             return model_from_json(json.load(fh))
     if text.lstrip().startswith("{"):
         return model_from_json(json.loads(text))
     kind, _, rest = text.partition(":")
-    fields = {}
+    data = {"kind": kind.strip().lower()}
     for item in rest.split(","):
         if not item:
             continue
         key, _, val = item.partition("=")
-        fields[key.strip()] = val.strip()
-    kind = kind.strip().lower()
-    if kind == "canonical":
-        return Canonical(b=float(fields["b"]), c=float(fields["c"]))
-    if kind == "two_term":
-        return TwoTermPolynomial(
-            c1=float(fields["c1"]),
-            c2=float(fields["c2"]),
-            alpha1=float(fields["alpha1"]),
-            alpha2=float(fields["alpha2"]),
-        )
-    if kind == "table":
-        values = tuple(float(v) for v in fields["values"].split(";") if v)
-        tail = None
-        if "tail_b" in fields or "tail_c" in fields:
-            tail = Canonical(b=float(fields["tail_b"]), c=float(fields["tail_c"]))
-        return Tabulated(values=values, tail=tail)
-    raise EntropyError(f"unknown model kind {kind!r}")
+        outer, _, inner = key.strip().rpartition("_")
+        (data.setdefault(outer, {}) if outer else data)[inner] = val.strip()
+    return model_from_json(data)
 
 
 def _exponent_json(p: HolderExponent):
@@ -98,8 +81,12 @@ def _bits_out(bits: float, args) -> float:
     return bits * LN2 if getattr(args, "nats", False) else bits
 
 
-def _parse_axes(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v)
+def _parse_list(text: str, convert) -> tuple:
+    """The comma-separated numbers of an option such as ``--axes``."""
+    try:
+        return tuple(convert(v) for v in text.split(",") if v)
+    except ValueError as exc:
+        raise EntropyError(f"bad number list {text!r}: {exc}") from exc
 
 
 def _parse_eps_grid(text: str) -> List[float]:
@@ -166,7 +153,7 @@ def _cmd_exact(args) -> dict:
 
 
 def _cmd_bound_finite(args) -> dict:
-    E = finite_bounds.FiniteEllipsoid(as_exponent(args.p), _parse_axes(args.axes))
+    E = finite_bounds.FiniteEllipsoid(as_exponent(args.p), _parse_list(args.axes, float))
     lower = finite_bounds.volume_lower_bound(E, as_exponent(args.q), args.eps)
     payload = {
         "query": {
@@ -221,7 +208,7 @@ def _cmd_bound_infinite(args) -> dict:
 
 def _cmd_mixed_bound(args) -> dict:
     model = parse_model(args.model)
-    dims = tuple(int(v) for v in args.dims.split(",") if v)
+    dims = _parse_list(args.dims, int)
     spec = block_decomp.MixedEllipsoidSpec(model, dims)
     upper, cert = block_decomp.mixed_upper_bound(spec, args.eps, args.gamma, args.rogers_k)
     lower = block_decomp.mixed_lower_bound(spec, args.eps)
@@ -312,7 +299,7 @@ def _cmd_estimator(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
-    E = finite_bounds.FiniteEllipsoid(as_exponent(args.p), _parse_axes(args.axes))
+    E = finite_bounds.FiniteEllipsoid(as_exponent(args.p), _parse_list(args.axes, float))
     rep = oracle.sandwich_report(
         E, as_exponent(args.q), args.eps, resolution=args.resolution, eta=args.eta
     )

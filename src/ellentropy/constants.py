@@ -1,7 +1,7 @@
 """Special functions and universal constants of the entropy formulas.
 
-Provides extended Hoelder exponents with an explicit infinity, log-gamma,
-the Riemann zeta function via Euler-Maclaurin summation, volumes of lp
+Provides extended Hoelder exponents with an explicit infinity, the
+Riemann zeta function via Euler-Maclaurin summation, volumes of lp
 unit balls, the volume-ratio constant
 
     Gamma_{p,q} = Gamma(1/p+1) p^(1/p) / (Gamma(1/q+1) q^(1/q) e^(1/q-1/p)),
@@ -66,13 +66,6 @@ def as_exponent(p: ExponentLike) -> HolderExponent:
     return HolderExponent(float(p))
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if not x > 0:
-        raise EntropyError(f"log_gamma requires a positive argument, got {x}")
-    return math.lgamma(x)
-
-
 def _scaled_log(p: HolderExponent) -> float:
     """log(p)/p with the limit value 0 at p = infinity."""
     return 0.0 if p.is_inf else math.log(p.value) / p.value
@@ -82,8 +75,8 @@ def gamma_pq(p: ExponentLike, q: ExponentLike) -> float:
     """The volume-ratio constant Gamma_{p,q}; equals 1 exactly when p = q."""
     p, q = as_exponent(p), as_exponent(q)
     rp, rq = p.reciprocal(), q.reciprocal()
-    log_num = log_gamma(1.0 + rp) + _scaled_log(p)
-    log_den = log_gamma(1.0 + rq) + _scaled_log(q)
+    log_num = math.lgamma(1.0 + rp) + _scaled_log(p)
+    log_den = math.lgamma(1.0 + rq) + _scaled_log(q)
     return math.exp(log_num - log_den - (rq - rp))
 
 
@@ -96,7 +89,7 @@ def unit_ball_log_volume(p: ExponentLike, d: int) -> float:
     if d < 1:
         raise EntropyError("dimension must be >= 1")
     rp = as_exponent(p).reciprocal()
-    return d * (math.log(2.0) + log_gamma(1.0 + rp)) - log_gamma(1.0 + d * rp)
+    return d * (math.log(2.0) + math.lgamma(1.0 + rp)) - math.lgamma(1.0 + d * rp)
 
 
 def volume_ratio(p: ExponentLike, q: ExponentLike, d: int) -> float:
@@ -182,27 +175,3 @@ def zeta_series_constant(b: float, certified_width: float = 1e-10) -> float:
     if hi - lo > certified_width:
         raise EntropyError("tail enclosure wider than the certified target")
     return head + 0.5 * (lo + hi)
-
-
-def zeta_series_constant_alternating(b: float) -> float:
-    """Cross-check route for S(b) through samples of the zeta function.
-
-    Identical by Fubini to (1/ln 2) sum_l (-1)^(l+1) zeta(l + 1/b) / l; the
-    conditionally convergent series is accelerated by splitting off
-    sum_l (-1)^(l+1)/l = ln 2, leaving absolutely convergent terms in
-    (zeta - 1).  Intended as a test oracle, not the primary evaluator.
-    """
-    if not b > 0:
-        raise EntropyError(f"series constant requires b > 0, got {b}")
-    rb = 1.0 / b
-    total = 1.0
-    sign = 1.0
-    ell = 1
-    while True:
-        term = sign * (zeta(ell + rb) - 1.0) / (ell * LN2)
-        total += term
-        if abs(term) < 1e-17:
-            break
-        sign = -sign
-        ell += 1
-    return total

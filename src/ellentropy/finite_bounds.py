@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .constants import ExponentLike, HolderExponent, as_exponent, volume_ratio
 from .errors import EntropyError, RadiusOutOfRange
-from .numerics import kahan_sum
-
-LN2 = math.log(2.0)
+from .numerics import _ceil_ratio, kahan_sum
 
 FD1 = "FD1"
 FD2 = "FD2"
@@ -189,13 +188,18 @@ def product_grid_upper_bound(
 ) -> float:
     """Crude certified upper bound covering the bounding hyperrectangle.
 
-    Each axis is quantized at per-axis radius eps * d^(-1/q), whose q-norm
-    combination is eps.  Useful fallback at dimensions below the density
-    bound's reach; for p = q = infinity it is the exact value.
+    Axis a is quantized into ceil(a / r) cells at per-axis radius
+    r = eps * d^(-1/q), rounded down for finite q so that the q-norm
+    combination of the radii stays at most eps.  Each ceiling is exact,
+    and the bits are log2 of the integer product of the counts.  Useful
+    fallback at dimensions below the density bound's reach.
     """
     if eps <= 0:
         raise EntropyError("eps must be positive")
     rq = as_exponent(q).reciprocal()
     d = len(axes)
     per_axis = eps * d ** (-rq)
-    return kahan_sum(math.log2(math.ceil(a / per_axis)) for a in axes)
+    if rq:
+        per_axis = math.nextafter(per_axis, 0.0)
+    fr = Fraction(per_axis)
+    return math.log2(math.prod(_ceil_ratio(a, fr) for a in axes))

@@ -29,8 +29,8 @@ from typing import List, Sequence, Tuple
 
 from . import constants
 from .errors import EnumerationTooLarge, InvalidModel, ScanCapExceeded, UnboundedCount
-from .numerics import kahan_sum, log2_bigint
-from .sequences import SemiAxisModel, _last_exceeding, _monotone_start, axis
+from .numerics import _ceil_ratio, kahan_sum
+from .sequences import SemiAxisModel, axis
 
 _AXIS_CAP = 10**8
 ENUMERATION_CAP = 10**7
@@ -63,11 +63,6 @@ class HyperrectEntropy:
         return _run_product(self.count_runs)
 
 
-def _ceil_ratio(mu: float, feps: Fraction) -> int:
-    # Exact ceiling of mu/eps; an integer ratio keeps its value.
-    return -(-Fraction(mu) // feps)
-
-
 def _count_runs(model: SemiAxisModel, eps: float) -> Tuple[Runs, int]:
     """The runs of counts ceil(mu_n/eps) > 1 in axis order, and their total
     multiplicity (the effective dimension).
@@ -86,13 +81,13 @@ def _count_runs(model: SemiAxisModel, eps: float) -> Tuple[Runs, int]:
             m += runs.pop()[1]
         runs.append((v, m))
 
-    start = _monotone_start(model)
+    start = model.monotone_start()
     for n in range(1, start):
         v = _ceil_ratio(axis(model, n), feps)
         if v > 1:
             add(v, 1)
     try:
-        last = _last_exceeding(model, start, feps)
+        last = model.last_exceeding(start, feps)
     except UnboundedCount as exc:
         raise ScanCapExceeded(f"effective dimension beyond the cap {_AXIS_CAP}") from exc
     dim = sum(m for _, m in runs) + last - start + 1
@@ -101,7 +96,7 @@ def _count_runs(model: SemiAxisModel, eps: float) -> Tuple[Runs, int]:
     n = start
     while n <= last:
         v = _ceil_ratio(axis(model, n), feps)
-        end = _last_exceeding(model, n + 1, (v - 1) * feps)
+        end = model.last_exceeding(n + 1, (v - 1) * feps)
         add(v, end - n + 1)
         n = end + 1
     return tuple(runs), dim
@@ -120,9 +115,7 @@ def exact_entropy(model: SemiAxisModel, eps: float) -> HyperrectEntropy:
     integer before taking the log, so the bits value is exact up to one
     float rounding."""
     runs, dim = _count_runs(model, eps)
-    product = _run_product(runs)
-    bits = 0.0 if product == 1 else log2_bigint(product)
-    return HyperrectEntropy(bits=bits, count_runs=runs, effective_dim=dim)
+    return HyperrectEntropy(bits=math.log2(_run_product(runs)), count_runs=runs, effective_dim=dim)
 
 
 def exact_entropy_counting(model: SemiAxisModel, eps: float) -> float:
@@ -163,7 +156,7 @@ def optimal_covering(
     total = math.prod(counts)
     if total > cap:
         # the exact count rides on the exception; render huge ones in log2
-        shown = str(total) if total.bit_length() <= 64 else f"2^{log2_bigint(total):.2f}"
+        shown = str(total) if total.bit_length() <= 64 else f"2^{math.log2(total):.2f}"
         raise EnumerationTooLarge(
             f"covering has {shown} centers, above the cap {cap}", count=total
         )

@@ -1,8 +1,8 @@
-"""Small numeric helpers: compensated summation, intervals, big-int logs."""
+"""Small numeric helpers: compensated summation, intervals, exact ceilings."""
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 
@@ -11,10 +11,6 @@ class Interval(NamedTuple):
 
     lo: float
     hi: float
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
     @property
     def width(self) -> float:
@@ -31,9 +27,6 @@ class Interval(NamedTuple):
             return Interval(self.hi * factor, self.lo * factor)
         return Interval(self.lo * factor, self.hi * factor)
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def kahan_sum(values: Iterable[float]) -> float:
     """Compensated summation; partial sums here reach 1e6 terms."""
@@ -47,8 +40,7 @@ def kahan_sum(values: Iterable[float]) -> float:
     return total
 
 
-def log2_bigint(n: int) -> float:
-    """log2 of a positive integer of arbitrary size."""
-    if n <= 0:
-        raise ValueError("log2 of non-positive integer")
-    return math.log2(n)
+def _ceil_ratio(x: float, feps: Fraction) -> int:
+    """Exact ceiling of x / eps for eps given as a Fraction (floats are
+    exact rationals); an integer ratio keeps its value."""
+    return -(-Fraction(x) // feps)

@@ -12,10 +12,11 @@ supported:
   index.  Without a tail the model is a complete finite sequence, and
   aggregate quantities treat indices past the table as absent.
 
-On top of evaluation the module provides the threshold counting function
-M_k(t) = #{n : mu_n > k*t} and the index search behind it, partial
-log-products, certified two-sided bounds on tail power sums, and the
-Cesaro mean of log(mu_n / mu_N).
+Each family implements the ``SemiAxisModel`` protocol: the primitives
+every algorithm reads a sequence through.  On top of them the module
+provides the threshold counting function M_k(t) = #{n : mu_n > k*t},
+partial log-products, certified two-sided bounds on tail power sums, and
+the Cesaro mean of log(mu_n / mu_N).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Protocol
 
 from .errors import (
     DivergentTail,
@@ -34,6 +35,64 @@ from .errors import (
 )
 from .numerics import Interval, kahan_sum
 
+
+class SemiAxisModel(Protocol):
+    """The primitives of a positive semi-axis sequence mu_1, mu_2, ...
+
+    Only ``axis`` may be called with a table's out-of-range index (it
+    raises); the others treat indices past a complete table as absent.
+    """
+
+    @property
+    def decay_index(self) -> Optional[float]:
+        """Regular-variation index b of mu_n ~ n**-b, None for a complete table."""
+
+    @property
+    def length(self) -> Optional[int]:
+        """Length of a complete table, None for an unbounded model."""
+
+    def axis(self, n: int) -> float:
+        """mu_n for an index n >= 1, by direct formula evaluation."""
+
+    def monotone_start(self) -> int:
+        """An index from which the sequence is non-increasing."""
+
+    def last_exceeding(self, start: int, t: Fraction) -> int:
+        """The largest n >= start - 1 with mu_m > t for every m in [start, n].
+
+        ``start`` must lie on the non-increasing part of the sequence (see
+        ``monotone_start``), where the passing indices form a prefix; the
+        result is start - 1 when mu_start <= t.
+        """
+
+    def tail_power_sum(self, d: int, theta: float) -> Interval:
+        """Certified enclosure of sum_{n > d} mu_n**theta for d >= 0."""
+
+
+def _above(model: SemiAxisModel, n: int, t: Fraction) -> bool:
+    """The membership test mu_n > t: the float mu_n, compared exactly
+    (floats are exact rationals), with no tolerance either way."""
+    return Fraction(model.axis(n)) > t
+
+
+# Number of explicit terms summed before bracketing a tail by integrals.
+_TAIL_PREFIX = 2000
+
+
+def _power_tail_interval(m: int, s: float) -> Interval:
+    """Enclosure of sum_{n > m} n**-s via integral comparison; needs s > 1.
+
+    The tail sums sum the first ``_TAIL_PREFIX`` terms explicitly and
+    bracket the remainder by
+
+        int_{m+1}^inf f  <=  sum_{n > m} f(n)  <=  f(m+1) + int_{m+1}^inf f,
+
+    applied to the dominating power law.
+    """
+    integral = (m + 1) ** (1.0 - s) / (s - 1.0)
+    return Interval(integral, integral + (m + 1) ** (-s))
+
+
 @dataclass(frozen=True)
 class Canonical:
     """mu_n = c * n**-b with b, c > 0."""
@@ -41,9 +100,46 @@ class Canonical:
     b: float
     c: float
 
+    length = None
+
     def __post_init__(self):
         if not (self.b > 0 and self.c > 0):
             raise InvalidModel("canonical model requires b > 0 and c > 0")
+
+    @property
+    def decay_index(self) -> float:
+        return self.b
+
+    def axis(self, n: int) -> float:
+        return self.c * float(n) ** (-self.b)
+
+    def monotone_start(self) -> int:
+        return 1
+
+    def last_exceeding(self, start: int, t: Fraction) -> int:
+        """Closed form, then O(1) exact corrections of its float drift."""
+        try:
+            x = (self.c / float(t)) ** (1.0 / self.b)
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x):
+            raise UnboundedCount("threshold underflows the canonical closed form")
+        n = max(start - 1, math.ceil(x) - 1)
+        while _above(self, n + 1, t):
+            n += 1
+        while n >= start and not _above(self, n, t):
+            n -= 1
+        return n
+
+    def tail_power_sum(self, d: int, theta: float) -> Interval:
+        s = self.b * theta
+        if s <= 1.0:
+            raise DivergentTail(f"tail power sum diverges: theta*b = {s} <= 1")
+        m = d + _TAIL_PREFIX
+        prefix = kahan_sum(
+            (self.c * float(n) ** (-self.b)) ** theta for n in range(d + 1, m + 1)
+        )
+        return _power_tail_interval(m, s).scale(self.c**theta) + prefix
 
     def to_json(self) -> dict:
         return {"kind": "canonical", "b": self.b, "c": self.c}
@@ -62,13 +158,15 @@ class TwoTermPolynomial:
     alpha1: float
     alpha2: float
 
+    length = None
+
     def __post_init__(self):
         if not (self.c1 > 0 and self.alpha1 > 0 and self.alpha2 > 0):
             raise InvalidModel("two-term model requires c1 > 0 and positive exponents")
         if not self.alpha1 < self.alpha2:
             raise InvalidModel("two-term model requires alpha1 < alpha2")
         for n in range(1, self.dominance_index() + 1):
-            if self.c1 * n ** (-self.alpha1) + self.c2 * n ** (-self.alpha2) <= 0:
+            if self.axis(n) <= 0:
                 raise InvalidModel(f"two-term model non-positive at n={n}")
 
     def dominance_index(self) -> int:
@@ -77,6 +175,53 @@ class TwoTermPolynomial:
             return 1
         x = (abs(self.c2) / self.c1) ** (1.0 / (self.alpha2 - self.alpha1))
         return max(1, int(math.floor(x)) + 1)
+
+    @property
+    def decay_index(self) -> float:
+        return self.alpha1
+
+    def axis(self, n: int) -> float:
+        return self.c1 * float(n) ** (-self.alpha1) + self.c2 * float(n) ** (-self.alpha2)
+
+    def monotone_start(self) -> int:
+        """Only c2 < 0 can make the law rise: c1 x**-a1 + c2 x**-a2 then
+        peaks at x* = (a2 |c2| / (a1 c1))**(1/(a2 - a1)) and falls past it."""
+        if self.c2 >= 0:
+            return 1
+        peak = (self.alpha2 * -self.c2 / (self.alpha1 * self.c1)) ** (
+            1.0 / (self.alpha2 - self.alpha1)
+        )
+        return int(peak) + 1
+
+    def last_exceeding(self, start: int, t: Fraction) -> int:
+        """A gallop followed by a bisection."""
+        lo, step = start - 1, 1
+        while _above(self, lo + step, t):
+            lo += step
+            step *= 2
+        hi = lo + step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _above(self, mid, t):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def tail_power_sum(self, d: int, theta: float) -> Interval:
+        s = self.alpha1 * theta
+        if s <= 1.0:
+            raise DivergentTail(f"tail power sum diverges: theta*alpha1 = {s} <= 1")
+        m = max(d, self.dominance_index()) + _TAIL_PREFIX
+        prefix = kahan_sum(self.axis(n) ** theta for n in range(d + 1, m + 1))
+        # Past m the correction factor mu_n * n**alpha1 = c1 + c2 * n^{a1-a2}
+        # is monotone in n, so it is enclosed by its values at m+1 and infinity.
+        at_m1 = self.c1 + self.c2 * float(m + 1) ** (self.alpha1 - self.alpha2)
+        a_lo, a_hi = min(self.c1, at_m1), max(self.c1, at_m1)
+        if a_lo <= 0:
+            raise InvalidModel("two-term model not positive past the scanned prefix")
+        bracket = _power_tail_interval(m, s)
+        return Interval(bracket.lo * a_lo**theta, bracket.hi * a_hi**theta) + prefix
 
     def to_json(self) -> dict:
         return {
@@ -94,6 +239,7 @@ class Tabulated:
 
     The tail, when present, is evaluated at the global index, so the model
     remains a single sequence; the junction must preserve monotonicity.
+    Every index past the table is sent to the tail.
     """
 
     values: tuple
@@ -109,10 +255,44 @@ class Tabulated:
         for a, b in zip(vals, vals[1:]):
             if b > a:
                 raise InvalidModel("tabulated values must be non-increasing")
-        if self.tail is not None:
-            first_tail = self.tail.c * (len(vals) + 1) ** (-self.tail.b)
-            if first_tail > vals[-1]:
-                raise InvalidModel("canonical tail exceeds last table value")
+        if self.tail is not None and self.tail.axis(len(vals) + 1) > vals[-1]:
+            raise InvalidModel("canonical tail exceeds last table value")
+
+    @property
+    def decay_index(self) -> Optional[float]:
+        return None if self.tail is None else self.tail.b
+
+    @property
+    def length(self) -> Optional[int]:
+        return len(self.values) if self.tail is None else None
+
+    def axis(self, n: int) -> float:
+        if n <= len(self.values):
+            return self.values[n - 1]
+        if self.tail is None:
+            raise IndexBeyondTable(f"index {n} beyond table of length {len(self.values)}")
+        return self.tail.axis(n)
+
+    def monotone_start(self) -> int:
+        return 1
+
+    def last_exceeding(self, start: int, t: Fraction) -> int:
+        """A bisection in the table, then the tail's closed form."""
+        L = len(self.values)
+        # the first failing 0-based position is the last passing 1-based index
+        last = bisect.bisect_left(
+            self.values, True, lo=min(start - 1, L), key=lambda v: Fraction(v) <= t
+        )
+        if last < L or self.tail is None:
+            return last
+        return self.tail.last_exceeding(max(start, L + 1), t)
+
+    def tail_power_sum(self, d: int, theta: float) -> Interval:
+        L = len(self.values)
+        finite = kahan_sum(self.values[n - 1] ** theta for n in range(d + 1, L + 1))
+        if self.tail is None:
+            return Interval(finite, finite)
+        return self.tail.tail_power_sum(max(d, L), theta) + finite
 
     def to_json(self) -> dict:
         out: dict = {"kind": "table", "values": list(self.values)}
@@ -121,147 +301,58 @@ class Tabulated:
         return out
 
 
-SemiAxisModel = Union[Canonical, TwoTermPolynomial, Tabulated]
+def _number(x) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError) as exc:
+        raise InvalidModel(f"model parameter {x!r} is not a number") from exc
 
 
 def model_from_json(data: dict) -> SemiAxisModel:
+    """The model a ``to_json`` dict describes.
+
+    Numbers may also be given as decimal strings, and the table's
+    ``values`` as one string of ';'-separated numbers.
+    """
     kind = data.get("kind")
     if kind == "canonical":
-        return Canonical(b=float(data["b"]), c=float(data["c"]))
+        return Canonical(b=_number(data["b"]), c=_number(data["c"]))
     if kind == "two_term":
         return TwoTermPolynomial(
-            c1=float(data["c1"]),
-            c2=float(data["c2"]),
-            alpha1=float(data["alpha1"]),
-            alpha2=float(data["alpha2"]),
+            c1=_number(data["c1"]),
+            c2=_number(data["c2"]),
+            alpha1=_number(data["alpha1"]),
+            alpha2=_number(data["alpha2"]),
         )
     if kind == "table":
+        values = data["values"]
+        if isinstance(values, str):
+            values = [v for v in values.split(";") if v]
         tail = data.get("tail")
         return Tabulated(
-            values=tuple(float(v) for v in data["values"]),
-            tail=None if tail is None else Canonical(b=float(tail["b"]), c=float(tail["c"])),
+            values=tuple(_number(v) for v in values),
+            tail=None if tail is None else Canonical(b=_number(tail["b"]), c=_number(tail["c"])),
         )
     raise InvalidModel(f"unknown model kind {kind!r}")
-
-
-def table_length(model: SemiAxisModel) -> Optional[int]:
-    """Length of a finite table model, None for unbounded models."""
-    if isinstance(model, Tabulated) and model.tail is None:
-        return len(model.values)
-    return None
-
-
-def decay_index(model: SemiAxisModel) -> Optional[float]:
-    """Regular-variation index -b of the model, None for finite tables."""
-    if isinstance(model, Canonical):
-        return model.b
-    if isinstance(model, TwoTermPolynomial):
-        return model.alpha1
-    if model.tail is not None:
-        return model.tail.b
-    return None
 
 
 def axis(model: SemiAxisModel, n: int) -> float:
     """mu_n by direct formula evaluation."""
     if n < 1:
         raise InvalidModel("axis index must be >= 1")
-    if isinstance(model, Canonical):
-        return model.c * float(n) ** (-model.b)
-    if isinstance(model, TwoTermPolynomial):
-        return model.c1 * float(n) ** (-model.alpha1) + model.c2 * float(n) ** (-model.alpha2)
-    if n <= len(model.values):
-        return model.values[n - 1]
-    if model.tail is None:
-        raise IndexBeyondTable(f"index {n} beyond table of length {len(model.values)}")
-    return model.tail.c * float(n) ** (-model.tail.b)
+    return model.axis(n)
 
 
 def ensure_non_increasing(model: SemiAxisModel, upto: int) -> None:
     """Check mu_n >= mu_{n+1} for n < upto; raises InvalidModel on failure.
 
-    Canonical models and validated tables are monotone by construction;
-    only the two-term family needs the prefix scan (a negative second term
-    can make the sequence rise before the dominance index).
+    The sequence cannot rise past ``model.monotone_start()``, so only the
+    head before it is scanned (a negative second term can make a two-term
+    law rise there).
     """
-    if isinstance(model, TwoTermPolynomial):
-        prev = axis(model, 1)
-        for n in range(2, upto + 1):
-            cur = axis(model, n)
-            if cur > prev:
-                raise InvalidModel(f"sequence increases at n={n}")
-            prev = cur
-
-
-def _above(model: SemiAxisModel, n: int, t: Fraction) -> bool:
-    """The membership test mu_n > t: the float axis(model, n), compared
-    exactly (floats are exact rationals), with no tolerance either way."""
-    return Fraction(axis(model, n)) > t
-
-
-def _monotone_start(model: SemiAxisModel) -> int:
-    """An index from which the sequence is non-increasing.
-
-    Only a two-term law with c2 < 0 can rise: c1 x**-a1 + c2 x**-a2 then
-    peaks at x* = (a2 |c2| / (a1 c1))**(1/(a2 - a1)) and falls past it.
-    """
-    if isinstance(model, TwoTermPolynomial) and model.c2 < 0:
-        peak = (model.alpha2 * -model.c2 / (model.alpha1 * model.c1)) ** (
-            1.0 / (model.alpha2 - model.alpha1)
-        )
-        return int(peak) + 1
-    return 1
-
-
-def _last_exceeding(model: SemiAxisModel, start: int, t: Fraction) -> int:
-    """The largest n >= start - 1 with mu_m > t for every m in [start, n].
-
-    ``start`` must lie on the non-increasing part of the sequence (see
-    ``_monotone_start``), where the passing indices form a prefix; the
-    result is start - 1 when mu_start <= t.  Canonical laws and canonical
-    tails take O(1) tests, tables a bisection, and two-term laws a gallop
-    followed by a bisection.
-    """
-    if isinstance(model, Canonical):
-        return _last_canonical(model, start, t)
-    if isinstance(model, Tabulated):
-        L = len(model.values)
-        # the first failing 0-based position is the last passing 1-based index
-        last = bisect.bisect_left(
-            model.values, True, lo=min(start - 1, L), key=lambda v: Fraction(v) <= t
-        )
-        if last < L or model.tail is None:
-            return last
-        return _last_canonical(model.tail, max(start, L + 1), t)
-    lo, step = start - 1, 1
-    while _above(model, lo + step, t):
-        lo += step
-        step *= 2
-    hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _above(model, mid, t):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _last_canonical(model: Canonical, start: int, t: Fraction) -> int:
-    """``_last_exceeding`` for a canonical law (or tail, at global indices)."""
-    try:
-        x = (model.c / float(t)) ** (1.0 / model.b)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise UnboundedCount("threshold underflows the canonical closed form")
-    n = max(start - 1, math.ceil(x) - 1)
-    # Correct floating-point boundary drift with exact comparisons.
-    while _above(model, n + 1, t):
-        n += 1
-    while n >= start and not _above(model, n, t):
-        n -= 1
-    return n
+    for n in range(2, min(upto, model.monotone_start()) + 1):
+        if model.axis(n) > model.axis(n - 1):
+            raise InvalidModel(f"sequence increases at n={n}")
 
 
 def counting(model: SemiAxisModel, t: float, k: int = 1) -> int:
@@ -276,16 +367,16 @@ def counting(model: SemiAxisModel, t: float, k: int = 1) -> int:
     if k < 1:
         raise InvalidModel("k must be >= 1")
     threshold = Fraction(k) * Fraction(t)
-    start = _monotone_start(model)
+    start = model.monotone_start()
     head = sum(1 for n in range(1, start) if _above(model, n, threshold))
-    return head + _last_exceeding(model, start, threshold) - (start - 1)
+    return head + model.last_exceeding(start, threshold) - (start - 1)
 
 
 def log_product(model: SemiAxisModel, d: int) -> float:
     """Sum of log2(mu_n) for n = 1..d (log2 of the axis product)."""
     if d < 1:
         raise InvalidModel("d must be >= 1")
-    return kahan_sum(math.log2(axis(model, n)) for n in range(1, d + 1))
+    return kahan_sum(math.log2(model.axis(n)) for n in range(1, d + 1))
 
 
 def cesaro_log_ratio(model: SemiAxisModel, N: int) -> float:
@@ -296,67 +387,18 @@ def cesaro_log_ratio(model: SemiAxisModel, N: int) -> float:
     """
     if N < 1:
         raise InvalidModel("N must be >= 1")
-    mu_N = axis(model, N)
-    return kahan_sum(math.log2(axis(model, n) / mu_N) for n in range(1, N + 1)) / N
-
-
-# Number of explicit terms summed before bracketing a tail by integrals.
-_TAIL_PREFIX = 2000
+    mu_N = model.axis(N)
+    return kahan_sum(math.log2(model.axis(n) / mu_N) for n in range(1, N + 1)) / N
 
 
 def tail_power_sum(model: SemiAxisModel, d: int, theta: float) -> Interval:
     """Certified enclosure of sum_{n > d} mu_n**theta.
 
-    The first ``_TAIL_PREFIX`` terms are summed explicitly; the remainder
-    is bracketed by the integral comparison
-
-        int_{m+1}^inf f  <=  sum_{n > m} f(n)  <=  f(m+1) + int_{m+1}^inf f,
-
-    applied to the dominating power law.  Convergence requires the mapped
-    exponent theta times the decay index to exceed 1.
+    The first ``_TAIL_PREFIX`` terms are summed explicitly and the rest is
+    bracketed by integrals of the dominating power law (see
+    ``_power_tail_interval``).  Convergence requires the mapped exponent
+    theta times the decay index to exceed 1.
     """
     if d < 0:
         raise InvalidModel("d must be >= 0")
-    if isinstance(model, Tabulated):
-        L = len(model.values)
-        finite = kahan_sum(model.values[n - 1] ** theta for n in range(d + 1, L + 1))
-        if model.tail is None:
-            return Interval(finite, finite)
-        rest = _canonical_tail_interval(model.tail, max(d, L), theta)
-        return rest + finite
-    if isinstance(model, Canonical):
-        return _canonical_tail_interval(model, d, theta)
-    return _two_term_tail_interval(model, d, theta)
-
-
-def _power_tail_interval(m: int, s: float) -> Interval:
-    """Enclosure of sum_{n > m} n**-s via integral comparison; needs s > 1."""
-    integral = (m + 1) ** (1.0 - s) / (s - 1.0)
-    return Interval(integral, integral + (m + 1) ** (-s))
-
-
-def _canonical_tail_interval(model: Canonical, d: int, theta: float) -> Interval:
-    s = model.b * theta
-    if s <= 1.0:
-        raise DivergentTail(f"tail power sum diverges: theta*b = {s} <= 1")
-    m = d + _TAIL_PREFIX
-    prefix = kahan_sum(
-        (model.c * float(n) ** (-model.b)) ** theta for n in range(d + 1, m + 1)
-    )
-    return _power_tail_interval(m, s).scale(model.c**theta) + prefix
-
-
-def _two_term_tail_interval(model: TwoTermPolynomial, d: int, theta: float) -> Interval:
-    s = model.alpha1 * theta
-    if s <= 1.0:
-        raise DivergentTail(f"tail power sum diverges: theta*alpha1 = {s} <= 1")
-    m = max(d, model.dominance_index()) + _TAIL_PREFIX
-    prefix = kahan_sum(axis(model, n) ** theta for n in range(d + 1, m + 1))
-    # Past m the correction factor mu_n * n**alpha1 = c1 + c2 * n^{a1-a2}
-    # is monotone in n, so it is enclosed by its values at m+1 and infinity.
-    at_m1 = model.c1 + model.c2 * float(m + 1) ** (model.alpha1 - model.alpha2)
-    a_lo, a_hi = min(model.c1, at_m1), max(model.c1, at_m1)
-    if a_lo <= 0:
-        raise InvalidModel("two-term model not positive past the scanned prefix")
-    bracket = _power_tail_interval(m, s)
-    return Interval(bracket.lo * a_lo**theta, bracket.hi * a_hi**theta) + prefix
+    return model.tail_power_sum(d, theta)

@@ -30,7 +30,6 @@ from ellentropy.constants import (
     gamma_pq,
     volume_ratio,
     zeta_series_constant,
-    zeta_series_constant_alternating,
 )
 from ellentropy.finite_bounds import FiniteEllipsoid
 from ellentropy.hyperrect import exact_entropy
@@ -38,6 +37,7 @@ from ellentropy.oracle import sandwich_report
 from ellentropy.sequences import Canonical, Tabulated, cesaro_log_ratio
 
 from per_axis_reference import counting_product
+from series_reference import zeta_series_constant_alternating
 
 INF = math.inf
 LN2 = math.log(2.0)

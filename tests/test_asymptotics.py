@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,8 @@ from ellentropy.asymptotics import (
     sum_expansion_check,
 )
 from ellentropy.constants import gamma_pq
-from ellentropy.errors import EntropyError, NonCompactRegime, UnsupportedCorner
-from ellentropy.sequences import Canonical, TwoTermPolynomial
+from ellentropy.errors import EntropyError, NonCompactRegime, ScanCapExceeded, UnsupportedCorner
+from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial, axis
 
 INF = math.inf
 LN2 = math.log(2.0)
@@ -97,6 +98,15 @@ class TestClassify:
 
 
 class TestCanonicalBand:
+    def test_overflow_names_the_edge(self):
+        with pytest.raises(EntropyError, match="lower band edge leaves the float range"):
+            canonical_band(2, 2, 0.005, 1, 1e-3)
+
+    def test_complex_edge_is_typed(self):
+        # p < q, b < 1 and eps > 1: log2(1/eps) < 0 has no real power 1 - b
+        with pytest.raises(EntropyError, match="upper band edge"):
+            canonical_band(1, 2, 0.5, 1, 2.0)
+
     def test_hilbert_example(self):
         band = canonical_band(2, 2, 1.0, 1.0, 1e-2)
         assert band.lower_bits == pytest.approx(100 / LN2)
@@ -145,6 +155,10 @@ class TestHilbert:
     def test_c_scaling(self):
         assert hilbert_leading(2, 4, 1e-3) == pytest.approx(2 * hilbert_leading(2, 1, 1e-3))
 
+    def test_overflow_is_typed(self):
+        with pytest.raises(EntropyError, match="Hilbert leading term leaves the float range"):
+            hilbert_leading(0.005, 1, 1e-3)
+
     def test_second_order_reduces_to_leading(self):
         assert hilbert_second_order(1.0, 1.3, 2.0, 0.0, 1e-3) == hilbert_leading(1.0, 2.0, 1e-3)
 
@@ -169,6 +183,26 @@ class TestEstimator:
 
     def test_zero_above_mu1(self):
         assert entropy_estimator(Canonical(1, 1), 2.0) == 0.0
+
+    @pytest.mark.parametrize("model,eps", [
+        (Canonical(0.5, 1), 1e-5),  # d* = 10^10
+        (Canonical(0.005, 1), 1e-3),  # d* overflows the closed form
+        (Tabulated((1.0,), Canonical(0.5, 1)), 1e-5),
+    ])
+    def test_cap_raises_without_scanning(self, model, eps):
+        start = time.perf_counter()
+        with pytest.raises(ScanCapExceeded):
+            entropy_estimator(model, eps)
+        assert time.perf_counter() - start < 1.0
+
+    def test_rising_head_sets_d_star(self):
+        # mu = 0.1, 0.2238, 0.2226, ... falls from n = 3 on; at eps between
+        # mu_3 and mu_2 only the head axis 2 lies above eps, so d* = 2 and
+        # the sum takes mu_1's negative term too
+        model = TwoTermPolynomial(1.0, -0.9, 0.7, 1.2)
+        eps = 0.2232
+        expected = math.log2(axis(model, 1) / eps) + math.log2(axis(model, 2) / eps)
+        assert entropy_estimator(model, eps) == pytest.approx(expected, rel=1e-12)
 
     def test_second_order_residual_shrinks(self):
         model = TwoTermPolynomial(1.0, 1.0, 1.0, 1.25)

@@ -95,10 +95,24 @@ class TestTailRadius:
 
 class TestInfiniteUpperBound:
     def test_dominates_exact_on_grid(self):
-        model = Canonical(1, 1)
-        for eps in (0.3, 0.1, 0.03):
+        # the models of the radius sweep below plus a two-axis table, at
+        # radii that include decimal-integer ratios mu_n / eps: cuts below
+        # d = 3 take the product grid, which must not undercount
+        head = tuple(0.9 * 0.82**i for i in range(24))
+        models = [
+            Canonical(1, 1),
+            Canonical(2.0, 1.0),
+            Canonical(1.5, 0.7),
+            Canonical(1.0, 0.1),
+            TwoTermPolynomial(1.0, -0.3, 1.6, 2.1),
+            Tabulated(head, Canonical(0.6677, 0.01)),
+            Tabulated(tuple(float(n) ** -0.7 for n in range(1, 41))),
+            Tabulated((0.2, 0.1)),
+        ]
+        radii = [0.005 * (0.63 / 0.005) ** (k / 11) for k in range(12)] + [0.3, 0.1, 0.05, 0.01]
+        for model, eps in itertools.product(models, radii):
             result, cert = infinite_upper_bound(model, INF, INF, eps)
-            assert result.bits >= exact_entropy(model, eps).bits
+            assert result.bits >= exact_entropy(model, eps).bits, (model, eps)
             assert result.kind == "certified-upper"
             assert cert.tail_radius <= eps
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from ellentropy.cli import main, parse_model
+from ellentropy.errors import InvalidModel
 from ellentropy.hyperrect import exact_entropy
 from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial
 
@@ -36,6 +37,20 @@ class TestModelParsing:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(Canonical(1.5, 2.0).to_json()))
         assert parse_model(f"@{path}") == Canonical(1.5, 2.0)
+
+    def test_single_value_table(self):
+        assert parse_model("table:values=0.5") == Tabulated((0.5,))
+
+    @pytest.mark.parametrize("text", [
+        "canonical:b=abc,c=1",
+        "table:values=1;x",
+        "table:values=1,tail_b=1,tail_c=?",
+        '{"kind": "canonical", "b": "abc", "c": 1}',
+        '{"kind": "table", "values": [1, null]}',
+    ])
+    def test_malformed_number_is_invalid_model(self, text):
+        with pytest.raises(InvalidModel):
+            parse_model(text)
 
 
 class TestExact:
@@ -120,6 +135,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "exact", "--model", "bogus", "--eps", "0.3")
         assert code == 2
         assert json.loads(err)["kind"] == "invalid-input"
+
+    @pytest.mark.parametrize("argv", [
+        ("exact", "--model", "canonical:b=abc,c=1", "--eps", "0.3"),
+        ("exact", "--model", "table:values=1;x", "--eps", "0.3"),
+        ("bound-finite", "--axes", "1,x", "--p", "2", "--q", "2", "--eps", "0.4"),
+        ("oracle", "--axes", "1,x", "--p", "2", "--q", "2", "--eps", "0.4"),
+        ("mixed-bound", "--model", "table:values=1;0.5", "--dims", "9,x", "--eps", "0.5"),
+    ])
+    def test_malformed_number_is_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(err)["kind"] == "invalid-input"
+
+    def test_band_overflow_is_2(self, capsys):
+        code, _, err = run(
+            capsys, "asymptotic", "--p", "2", "--q", "2", "--b", "0.005", "--c", "1",
+            "--eps", "1e-3",
+        )
+        assert code == 2
+        assert "band edge leaves the float range" in json.loads(err)["error"]
 
     def test_noncompact_classify_is_3(self, capsys):
         code, out, _ = run(capsys, "classify", "--p", "2", "--q", "1", "--b", "0.3")

@@ -7,14 +7,14 @@ from ellentropy.constants import (
     HolderExponent,
     as_exponent,
     gamma_pq,
-    log_gamma,
     unit_ball_log_volume,
     volume_ratio,
     zeta,
     zeta_series_constant,
-    zeta_series_constant_alternating,
 )
 from ellentropy.errors import EntropyError
+
+from series_reference import zeta_series_constant_alternating
 
 INF = math.inf
 GRID = [1.0, 1.5, 2.0, 3.0, INF]
@@ -33,28 +33,6 @@ class TestHolderExponent:
     def test_domain(self):
         with pytest.raises(EntropyError):
             HolderExponent(0.5)
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma(1.0) == 0.0
-
-    def test_at_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-    def test_at_ten(self):
-        assert log_gamma(10.0) == pytest.approx(math.log(362880), rel=1e-13)
-
-    def test_relative_accuracy_on_range(self):
-        # spot checks against exact factorials across the contract range
-        for n in (2, 5, 20, 120, 10**4, 10**6):
-            expected = math.lgamma(n)  # reference is itself lgamma; check identity
-            assert log_gamma(n) == expected
-        assert log_gamma(21.0) == pytest.approx(math.log(math.factorial(20)), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(EntropyError):
-            log_gamma(0.0)
 
 
 class TestGammaPQ:

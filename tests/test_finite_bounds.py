@@ -16,6 +16,8 @@ from ellentropy.finite_bounds import (
     product_grid_upper_bound,
     volume_lower_bound,
 )
+from ellentropy.hyperrect import exact_entropy
+from ellentropy.sequences import Canonical, axis
 
 INF = math.inf
 
@@ -155,6 +157,13 @@ class TestDensityUpper:
 class TestProductGridFallback:
     def test_exact_for_sup_norm(self):
         assert product_grid_upper_bound((1.0, 0.5), INF, 0.3) == pytest.approx(3.0)
+
+    def test_exact_ceiling_at_decimal_integer_ratios(self):
+        # 1/5, 1/10 and 1/20 over 0.01 round to integers in floats, but the
+        # exact ratios lie above them and need one more cell each
+        model = Canonical(1, 1)
+        axes = tuple(axis(model, n) for n in range(1, 100))
+        assert product_grid_upper_bound(axes, INF, 0.01) == exact_entropy(model, 0.01).bits
 
     def test_upper_bounds_oracle_pack(self):
         from ellentropy.oracle import greedy_pack
