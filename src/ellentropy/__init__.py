@@ -4,7 +4,11 @@ Exact sup-norm entropy of hyperrectangles, certified lower and upper
 bounds for finite, infinite-dimensional, and mixed ellipsoids, regime
 classification with sharp asymptotic constants, Besov-ball reductions,
 and a brute-force covering/packing oracle for desk-scale verification.
+
+The oracle, the only module that needs numpy, is imported on first use.
 """
+
+import importlib
 
 from .asymptotics import (
     Regime,
@@ -51,7 +55,6 @@ from .hyperrect import (
     exact_entropy_counting,
     optimal_covering,
 )
-from .oracle import OracleReport, greedy_cover, greedy_pack, sandwich_report
 from .results import BoundCertificate, EllipsoidSpec, EntropyResult
 from .sequences import (
     Canonical,
@@ -66,3 +69,14 @@ from .sequences import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = ("OracleReport", "greedy_cover", "greedy_pack", "sandwich_report")
+
+
+def __getattr__(name):
+    # import_module, not ``from . import oracle``: the latter looks the
+    # name up on this package again, which lands back here
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = importlib.import_module(f"{__name__}.oracle")
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedCorner,
 )
 from .numerics import kahan_sum
-from .sequences import SemiAxisModel, axis
+from .sequences import SemiAxisModel, axis, last_passing
 
 NONCOMPACT_A = "NonCompact_a"
 NONCOMPACT_B = "NonCompact_b"
@@ -152,6 +152,14 @@ def classify(
     return Regime(COMPACT_IV, b_star, lower_const=lower)
 
 
+def _finite(what: str, value) -> float:
+    """value, or an EntropyError naming ``what`` when it is not a finite
+    real float."""
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise EntropyError(f"{what} leaves the float range")
+    return value
+
+
 def _scaled_power(what: str, factor: float, base: float, exponent: float) -> float:
     """factor * base**exponent, or an EntropyError naming ``what`` when
     the value leaves the (real) float range."""
@@ -159,9 +167,7 @@ def _scaled_power(what: str, factor: float, base: float, exponent: float) -> flo
         out = factor * base**exponent
     except OverflowError:
         out = math.inf
-    if not (isinstance(out, float) and math.isfinite(out)):
-        raise EntropyError(f"{what} leaves the float range")
-    return out
+    return _finite(what, out)
 
 
 class EntropyBand(NamedTuple):
@@ -225,37 +231,34 @@ def hilbert_second_order(
     if c1 <= 0 or eps <= 0:
         raise EntropyError("c1 and eps must be positive")
     frak_a = alpha1 - alpha2 + 1.0
-    lead = alpha1 * c1 ** (1.0 / alpha1) / LN2 * eps ** (-1.0 / alpha1)
-    second = (
-        c2
-        * c1 ** ((1.0 - alpha2) / alpha1)
-        / (LN2 * frak_a)
-        * eps ** (-frak_a / alpha1)
+    scale = _scaled_power("Hilbert leading term", alpha1, c1, 1.0 / alpha1) / LN2
+    lead = _scaled_power("Hilbert leading term", scale, eps, -1.0 / alpha1)
+    scale = _scaled_power("Hilbert second-order term", c2, c1, (1.0 - alpha2) / alpha1)
+    second = _scaled_power(
+        "Hilbert second-order term", scale / (LN2 * frak_a), eps, -frak_a / alpha1
     )
-    return lead + second
+    return _finite("Hilbert second-order expansion", lead + second)
 
 
-def _largest_index_exceeding(surrogate, eps: float, finite_end: Optional[int]) -> int:
-    """max{d : surrogate(d) > eps} for a unimodal surrogate, 0 if none.
+def _walk(surrogate, eps: float, end: int) -> Tuple[int, bool]:
+    """Walk d = 1..end for max{d : surrogate(d) > eps}.
 
-    The supported families give surrogates of the form A d^u + B d^v (at
-    most one sign change of the derivative), so once the value sits at or
-    below eps while non-increasing it never recovers.  ``finite_end``
-    bounds the scan for complete finite tables.
+    Returns the last passing d (0 if none) and whether the walk stopped
+    before ``end``.  The supported families give surrogates of the form
+    A d^u + B d^v (at most one sign change of the derivative), so once the
+    value sits at or below eps while non-increasing it never recovers, and
+    the walk stops there.
     """
     last = 0
     prev = None
-    end = _SCAN_CAP if finite_end is None else min(_SCAN_CAP, finite_end)
     for d in range(1, end + 1):
         val = surrogate(d)
         if val > eps:
             last = d
         elif prev is not None and val <= prev:
-            return last
+            return last, True
         prev = val
-    if finite_end is not None and end == finite_end:
-        return last
-    raise ScanCapExceeded(f"surrogate still above eps at the scan cap {_SCAN_CAP}")
+    return last, False
 
 
 def entropy_estimator(model: SemiAxisModel, eps: float) -> float:
@@ -264,7 +267,8 @@ def entropy_estimator(model: SemiAxisModel, eps: float) -> float:
     Reproduces the p = q = 2 asymptotic orders; the reference level eps
     (instead of mu_{d*}) changes the value by O(1) only.  d* comes from
     the search ``counting`` uses: the head before the monotone start axis
-    by axis, then the model's index search.
+    by axis, then the model's index search.  The sum is the midpoint of
+    the model's log-product enclosure minus d* log2 eps.
     """
     if not 0 < eps < math.inf:
         raise EntropyError("eps must be positive and finite")
@@ -279,7 +283,7 @@ def entropy_estimator(model: SemiAxisModel, eps: float) -> float:
         raise ScanCapExceeded(f"d* = {d_star} reaches the scan cap {_SCAN_CAP}")
     if d_star == 0:
         return 0.0
-    return kahan_sum(math.log2(axis(model, n) / eps) for n in range(1, d_star + 1))
+    return model.log_product(d_star).mid - d_star * math.log2(eps)
 
 
 def effective_dimension(
@@ -289,14 +293,39 @@ def effective_dimension(
 
     This is the dimension-selection heuristic for covering at radius eps:
     the surrogate must eventually decay (decay index above 1/q - 1/p).
+
+    The indices are walked one by one, with a stop rule, up to the monotone
+    start when 1/q - 1/p <= 0, and all the way otherwise: there d^e rises
+    while mu_d falls, and tables are not unimodal.  Past the monotone start
+    the surrogate is a product of non-increasing positive floats (rounding
+    is monotone), so the passing indices form a prefix, found by a gallop.
     """
     if eps <= 0:
         raise EntropyError("eps must be positive")
     rp, rq = as_exponent(p).reciprocal(), as_exponent(q).reciprocal()
     e = rq - rp
-    return _largest_index_exceeding(
-        lambda d: d**e * axis(model, d), eps, model.length
-    )
+    b = model.decay_index
+    if b is not None and b < e:
+        raise ScanCapExceeded(
+            f"d^(1/q-1/p) mu_d grows without bound: decay index b = {b} "
+            f"is below 1/q - 1/p = {e}"
+        )
+
+    def surrogate(d: int) -> float:
+        return d**e * axis(model, d)
+
+    L = model.length
+    end = _SCAN_CAP if L is None else min(_SCAN_CAP, L)
+    head_end = end if e > 0 else min(end, model.monotone_start() - 1)
+    last, stopped = _walk(surrogate, eps, head_end)
+    if not stopped and head_end < end:
+        start = head_end + 1
+        if surrogate(start) > eps:
+            last = last_passing(lambda d: surrogate(d) > eps, start, end)
+        stopped = last < end
+    if stopped or end == L:
+        return last
+    raise ScanCapExceeded(f"surrogate still above eps at the scan cap {_SCAN_CAP}")
 
 
 def sum_expansion_check(
@@ -314,12 +343,17 @@ def sum_expansion_check(
         raise EntropyError("d must be >= 1")
 
     def mu(n: int) -> float:
-        return c1 * n ** (-alpha1) + c2 * n ** (-alpha2)
+        out = c1 * n ** (-alpha1) + c2 * n ** (-alpha2)
+        if not out > 0:
+            raise EntropyError(f"two-term law is not positive at n={n}")
+        return out
 
     mu_d = mu(d)
     exact = kahan_sum(math.log2(mu(n) / mu_d) for n in range(1, d + 1))
-    approx = alpha1 * d / LN2 + (1.0 / frak_a - 1.0) * c2 / (c1 * LN2) * d**frak_a
-    return exact, approx
+    second = _scaled_power(
+        "second-order term", (1.0 / frak_a - 1.0) * c2 / (c1 * LN2), d, frak_a
+    )
+    return exact, _finite("expansion", alpha1 * d / LN2 + second)
 
 
 def invert_series(
@@ -334,11 +368,9 @@ def invert_series(
         raise EntropyError("requires 0 < alpha1 < alpha2")
     if c1 <= 0 or g <= 0:
         raise EntropyError("c1 and g must be positive")
-    lead = c1 ** (1.0 / alpha1) * g ** (-1.0 / alpha1)
-    corr = (
-        c2
-        * c1 ** ((1.0 - alpha2) / alpha1)
-        / alpha1
-        * g ** (-(alpha1 - alpha2 + 1.0) / alpha1)
+    lead = _scaled_power(
+        "leading term", _scaled_power("leading term", 1.0, c1, 1.0 / alpha1), g, -1.0 / alpha1
     )
-    return lead + corr
+    scale = _scaled_power("correction term", c2, c1, (1.0 - alpha2) / alpha1) / alpha1
+    corr = _scaled_power("correction term", scale, g, -(alpha1 - alpha2 + 1.0) / alpha1)
+    return _finite("inverse", lead + corr)

@@ -33,9 +33,8 @@ from .errors import (
 from .finite_bounds import (
     FD1,
     FD2,
-    FiniteEllipsoid,
-    admissible_radius,
-    density_upper_bound,
+    _admissible_radius,
+    _density_upper_bound,
     product_grid_upper_bound,
 )
 from .numerics import kahan_sum
@@ -228,24 +227,26 @@ def infinite_upper_bound(
         # one-sided margin so the recombined radius never rounds above eps
         rho = (eps**q.value - alpha**q.value) ** q.reciprocal() * (1.0 - 1e-12)
 
-    axes = tuple(axis(model, n) for n in range(1, d + 1))
     notes = []
     if d >= 3:
         rp, rq = p.reciprocal(), q.reciprocal()
-        ell = FiniteEllipsoid(p, axes)
-        candidates = [(rho / (d ** (-max(rp - rq, 0.0)) * axes[-1]), FD1)]
+        mu_d = axis(model, d)
+        # the upper end of the log-product keeps the bound certified
+        lg_gmean = model.log_product(d).hi / d
+        candidates = [(rho / (d ** (-max(rp - rq, 0.0)) * mu_d), FD1)]
         if rp <= rq:
-            candidates.append((rho / (d ** (rq - rp) * axes[-1]), FD2))
+            candidates.append((rho / (d ** (rq - rp) * mu_d), FD2))
         eta, density_case = min(candidates)
         # eta * x * mu_d can round to just below rho; step eta up until the
         # case's admissible radius reaches rho
-        while admissible_radius(ell, q, eta, density_case)[1] < rho:
+        while _admissible_radius(p, q, d, mu_d, eta, density_case)[1] < rho:
             eta = math.nextafter(eta, math.inf)
-        fb = density_upper_bound(ell, q, rho, eta)
+        fb = _density_upper_bound(p, q, d, mu_d, lg_gmean, rho, eta)
         bits = fb.log2_bound
         kappa = fb.kappa_used
         notes.append(f"density case {fb.case_tag}")
     else:
+        axes = tuple(axis(model, n) for n in range(1, d + 1))
         bits = product_grid_upper_bound(axes, q, rho)
         eta = None
         kappa = None

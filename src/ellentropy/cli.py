@@ -24,7 +24,7 @@ import math
 import sys
 from typing import List, Optional
 
-from . import asymptotics, besov, block_decomp, constants, finite_bounds, hyperrect, oracle
+from . import asymptotics, besov, block_decomp, constants, finite_bounds, hyperrect
 from .constants import LN2, HolderExponent, as_exponent
 from .errors import (
     EnumerationTooLarge,
@@ -299,6 +299,8 @@ def _cmd_estimator(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
+    from . import oracle  # numpy is loaded only for this subcommand
+
     E = finite_bounds.FiniteEllipsoid(as_exponent(args.p), _parse_list(args.axes, float))
     rep = oracle.sandwich_report(
         E, as_exponent(args.q), args.eps, resolution=args.resolution, eta=args.eta

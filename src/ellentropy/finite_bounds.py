@@ -112,11 +112,18 @@ def admissible_radius(
     FD1 (any p, q): r = eta * d^(-(1/p-1/q)_+) * mu_d.
     FD2 (p >= q):   r = eta * d^(1/q-1/p) * mu_d.
     """
+    return _admissible_radius(E.p, q, E.dim, E.axes[-1], eta, case)
+
+
+def _admissible_radius(
+    p: HolderExponent, q: ExponentLike, d: int, mu_d: float, eta: float, case: str
+) -> Tuple[float, float]:
+    """``admissible_radius`` of a block known by its exponent, dimension
+    and smallest axis."""
     if eta <= 0:
         raise EntropyError("eta must be positive")
     q = as_exponent(q)
-    rp, rq = E.p.reciprocal(), q.reciprocal()
-    d, mu_d = E.dim, E.axes[-1]
+    rp, rq = p.reciprocal(), q.reciprocal()
     if case == FD1:
         return (0.0, eta * d ** (-max(rp - rq, 0.0)) * mu_d)
     if case == FD2:
@@ -126,8 +133,7 @@ def admissible_radius(
     raise EntropyError(f"unknown case {case!r}")
 
 
-def _density_bits(E: FiniteEllipsoid, eps: float, eta: float, log2_B: float) -> float:
-    d = E.dim
+def _density_bits(d: int, eps: float, eta: float, log2_B: float) -> float:
     kappa = explicit_kappa(d)
     # Bound on log2(N-1); reported on N itself.
     on_nm1 = d * (math.log2(kappa) + math.log2(1.0 + eta) + log2_B - math.log2(eps))
@@ -145,30 +151,46 @@ def density_upper_bound(
     bound; raises RadiusOutOfRange (reporting the widest admissible
     interval) when eps lies outside all of them.
     """
+    return _density_upper_bound(
+        E.p, q, E.dim, E.axes[-1], E.log2_geometric_mean(), eps, eta
+    )
+
+
+def _density_upper_bound(
+    p: HolderExponent,
+    q: ExponentLike,
+    d: int,
+    mu_d: float,
+    lg_gmean: float,
+    eps: float,
+    eta: float,
+) -> FiniteBound:
+    """``density_upper_bound`` of a block known by its exponent, dimension,
+    smallest axis and log2 geometric mean of the axes."""
     if eps <= 0:
         raise EntropyError("eps must be positive")
     q = as_exponent(q)
-    d = E.dim
     if d < 3:
         raise EntropyError("density bound requires d >= 3")
-    rp, rq = E.p.reciprocal(), q.reciprocal()
-    lg_gmean = E.log2_geometric_mean()
+    rp, rq = p.reciprocal(), q.reciprocal()
 
     candidates = []
-    r1 = admissible_radius(E, q, eta, FD1)
+    r1 = _admissible_radius(p, q, d, mu_d, eta, FD1)
     if eps <= r1[1]:
-        log2_B = math.log2(volume_ratio(E.p, q, d)) + lg_gmean
-        candidates.append((_density_bits(E, eps, eta, log2_B), FD1, r1))
+        log2_B = math.log2(volume_ratio(p, q, d)) + lg_gmean
+        candidates.append((_density_bits(d, eps, eta, log2_B), FD1, r1))
     if rp <= rq:
-        r2 = admissible_radius(E, q, eta, FD2)
+        r2 = _admissible_radius(p, q, d, mu_d, eta, FD2)
         if eps <= r2[1]:
             log2_B = (rq - rp) * math.log2(d) + lg_gmean
-            candidates.append((_density_bits(E, eps, eta, log2_B), FD2, r2))
+            candidates.append((_density_bits(d, eps, eta, log2_B), FD2, r2))
 
     if not candidates:
         widest = r1
         if rp <= rq:
-            widest = max(widest, admissible_radius(E, q, eta, FD2), key=lambda r: r[1])
+            widest = max(
+                widest, _admissible_radius(p, q, d, mu_d, eta, FD2), key=lambda r: r[1]
+            )
         raise RadiusOutOfRange(
             f"eps={eps} outside the admissible interval (0, {widest[1]}]",
             interval=widest,

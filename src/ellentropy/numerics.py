@@ -16,6 +16,10 @@ class Interval(NamedTuple):
     def width(self) -> float:
         return self.hi - self.lo
 
+    @property
+    def mid(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
     def __add__(self, other):  # type: ignore[override]
         if isinstance(other, Interval):
             return Interval(self.lo + other.lo, self.hi + other.hi)

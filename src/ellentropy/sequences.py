@@ -15,8 +15,9 @@ supported:
 Each family implements the ``SemiAxisModel`` protocol: the primitives
 every algorithm reads a sequence through.  On top of them the module
 provides the threshold counting function M_k(t) = #{n : mu_n > k*t},
-partial log-products, certified two-sided bounds on tail power sums, and
-the Cesaro mean of log(mu_n / mu_N).
+certified partial log-products (in closed form for canonical laws),
+certified two-sided bounds on tail power sums, and the Cesaro mean of
+log(mu_n / mu_N).
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Protocol
+from typing import Callable, Iterable, Optional, Protocol
 
+from .constants import LN2
 from .errors import (
     DivergentTail,
     IndexBeyondTable,
@@ -68,11 +70,49 @@ class SemiAxisModel(Protocol):
     def tail_power_sum(self, d: int, theta: float) -> Interval:
         """Certified enclosure of sum_{n > d} mu_n**theta for d >= 0."""
 
+    def log_product(self, d: int) -> Interval:
+        """Certified enclosure of sum_{n <= d} log2 mu_n for d >= 1."""
+
 
 def _above(model: SemiAxisModel, n: int, t: Fraction) -> bool:
     """The membership test mu_n > t: the float mu_n, compared exactly
     (floats are exact rationals), with no tolerance either way."""
     return Fraction(model.axis(n)) > t
+
+
+def last_passing(passes: Callable[[int], bool], lo: int, hi: Optional[int] = None) -> int:
+    """The largest n <= hi with passes(m) for every m in (lo, n]; lo when
+    passes(lo + 1) fails or lo = hi.
+
+    The passing indices past lo must form a prefix, as they do for a
+    threshold test on a non-increasing sequence.  A gallop followed by a
+    bisection, so O(log n) tests; hi = None leaves the search unbounded.
+    """
+    n, step = lo, 1
+    while (hi is None or n + step <= hi) and passes(n + step):
+        n += step
+        step *= 2
+    fail = n + step if hi is None else min(n + step, hi + 1)
+    while fail - n > 1:
+        mid = (n + fail) // 2
+        if passes(mid):
+            n = mid
+        else:
+            fail = mid
+    return n
+
+
+def _log2_sum(values: Iterable[float], count: int, largest: float, smallest: float) -> Interval:
+    """Enclosure of the sum of log2 v over ``count`` floats v in [smallest, largest].
+
+    The Kahan sum of math.log2 misses the exact sum by at most one ulp per
+    logarithm plus the summation error, together below
+    2**-51 * sum |log2 v| <= 2**-51 * count * max|log2 v|; the slack is
+    twice that.
+    """
+    total = kahan_sum(map(math.log2, values))
+    slack = 2.0**-50 * count * max(abs(math.log2(largest)), abs(math.log2(smallest)))
+    return Interval(total - slack, total + slack)
 
 
 # Number of explicit terms summed before bracketing a tail by integrals.
@@ -141,6 +181,21 @@ class Canonical:
         )
         return _power_tail_interval(m, s).scale(self.c**theta) + prefix
 
+    def log_product(self, d: int) -> Interval:
+        """d log2 c - b log2(d!), with log2(d!) = lgamma(d + 1) / ln 2, in O(1).
+
+        The slack covers the error of lgamma and of the float arithmetic
+        (2**-40 relative to the two terms) and the rounding of each float
+        axis against c * n**-b: 2**-50 per axis, nearly twice the log2
+        shift of a relative error of 3 * 2**-53 (one ulp from the power,
+        half an ulp from the product).
+        """
+        scale = d * math.log2(self.c)
+        power = self.b * math.lgamma(d + 1) / LN2
+        slack = 2.0**-40 * (abs(scale) + power) + d * 2.0**-50
+        value = scale - power
+        return Interval(value - slack, value + slack)
+
     def to_json(self) -> dict:
         return {"kind": "canonical", "b": self.b, "c": self.c}
 
@@ -195,18 +250,7 @@ class TwoTermPolynomial:
 
     def last_exceeding(self, start: int, t: Fraction) -> int:
         """A gallop followed by a bisection."""
-        lo, step = start - 1, 1
-        while _above(self, lo + step, t):
-            lo += step
-            step *= 2
-        hi = lo + step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _above(self, mid, t):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return last_passing(lambda n: _above(self, n, t), start - 1)
 
     def tail_power_sum(self, d: int, theta: float) -> Interval:
         s = self.alpha1 * theta
@@ -222,6 +266,17 @@ class TwoTermPolynomial:
             raise InvalidModel("two-term model not positive past the scanned prefix")
         bracket = _power_tail_interval(m, s)
         return Interval(bracket.lo * a_lo**theta, bracket.hi * a_hi**theta) + prefix
+
+    def log_product(self, d: int) -> Interval:
+        """The per-axis sum, in O(d): the two-term law has no closed-form
+        log-product.
+
+        Every mu_n lies in [min(mu_1, mu_d), c1 + max(c2, 0)] for n <= d,
+        since the law rises at most once, before falling.
+        """
+        largest = self.c1 + max(self.c2, 0.0)
+        smallest = min(self.axis(1), self.axis(d))
+        return _log2_sum(map(self.axis, range(1, d + 1)), d, largest, smallest)
 
     def to_json(self) -> dict:
         return {
@@ -293,6 +348,22 @@ class Tabulated:
         if self.tail is None:
             return Interval(finite, finite)
         return self.tail.tail_power_sum(max(d, L), theta) + finite
+
+    def log_product(self, d: int) -> Interval:
+        """A Kahan sum over at most the table, plus the tail's log-product
+        from L + 1 to d, rounded outward."""
+        L = len(self.values)
+        k = min(d, L)
+        head = _log2_sum(self.values[:k], k, self.values[0], self.values[k - 1])
+        if d <= L:
+            return head
+        if self.tail is None:
+            raise IndexBeyondTable(f"index {d} beyond table of length {L}")
+        upto, before = self.tail.log_product(d), self.tail.log_product(L)
+        return Interval(
+            math.nextafter(head.lo + upto.lo - before.hi, -math.inf),
+            math.nextafter(head.hi + upto.hi - before.lo, math.inf),
+        )
 
     def to_json(self) -> dict:
         out: dict = {"kind": "table", "values": list(self.values)}
@@ -373,10 +444,11 @@ def counting(model: SemiAxisModel, t: float, k: int = 1) -> int:
 
 
 def log_product(model: SemiAxisModel, d: int) -> float:
-    """Sum of log2(mu_n) for n = 1..d (log2 of the axis product)."""
+    """Sum of log2(mu_n) for n = 1..d (log2 of the axis product): the
+    midpoint of the model's certified enclosure."""
     if d < 1:
         raise InvalidModel("d must be >= 1")
-    return kahan_sum(math.log2(model.axis(n)) for n in range(1, d + 1))
+    return model.log_product(d).mid
 
 
 def cesaro_log_ratio(model: SemiAxisModel, N: int) -> float:
@@ -387,8 +459,7 @@ def cesaro_log_ratio(model: SemiAxisModel, N: int) -> float:
     """
     if N < 1:
         raise InvalidModel("N must be >= 1")
-    mu_N = model.axis(N)
-    return kahan_sum(math.log2(model.axis(n) / mu_N) for n in range(1, N + 1)) / N
+    return (model.log_product(N).mid - N * math.log2(model.axis(N))) / N
 
 
 def tail_power_sum(model: SemiAxisModel, d: int, theta: float) -> Interval:

@@ -1,19 +1,27 @@
-"""Per-axis reference for the exact sup-norm entropy.
+"""Per-axis references for the exact sup-norm entropy, the log-product
+and the effective dimension.
 
 ``ellentropy.hyperrect`` groups the axes into runs of equal count and
 searches for each run's end.  The functions here take the direct route
 instead: one exact rational division per axis, scanned in axis order, and
 the threshold counts M_k read off a histogram of those counts.  They are
 the oracle the grouped computation is tested against.
+
+Likewise ``log_product`` sums log2 mu_n axis by axis, where the models
+enclose the sum in closed form, and ``effective_dimension`` walks every
+index up to its answer, where the library searches past the monotone
+start.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List
+from typing import List, Optional
 
-from ellentropy.errors import InvalidModel, ScanCapExceeded
+from ellentropy.constants import ExponentLike, as_exponent
+from ellentropy.errors import EntropyError, InvalidModel, ScanCapExceeded
+from ellentropy.numerics import kahan_sum
 from ellentropy.sequences import SemiAxisModel, Tabulated, axis
 
 AXIS_CAP = 10**8
@@ -90,3 +98,53 @@ def counting_product(model: SemiAxisModel, eps: float) -> Fraction:
         out *= Fraction(k + 1, k) ** m
     return out
 
+
+
+def log_product(model: SemiAxisModel, d: int) -> float:
+    """Sum of log2(mu_n) for n = 1..d (log2 of the axis product)."""
+    if d < 1:
+        raise InvalidModel("d must be >= 1")
+    return kahan_sum(math.log2(model.axis(n)) for n in range(1, d + 1))
+
+
+SCAN_CAP = 10**8
+
+
+def _largest_index_exceeding(surrogate, eps: float, finite_end: Optional[int]) -> int:
+    """max{d : surrogate(d) > eps} for a unimodal surrogate, 0 if none.
+
+    The supported families give surrogates of the form A d^u + B d^v (at
+    most one sign change of the derivative), so once the value sits at or
+    below eps while non-increasing it never recovers.  ``finite_end``
+    bounds the scan for complete finite tables.
+    """
+    last = 0
+    prev = None
+    end = SCAN_CAP if finite_end is None else min(SCAN_CAP, finite_end)
+    for d in range(1, end + 1):
+        val = surrogate(d)
+        if val > eps:
+            last = d
+        elif prev is not None and val <= prev:
+            return last
+        prev = val
+    if finite_end is not None and end == finite_end:
+        return last
+    raise ScanCapExceeded(f"surrogate still above eps at the scan cap {SCAN_CAP}")
+
+
+def effective_dimension(
+    model: SemiAxisModel, p: ExponentLike, q: ExponentLike, eps: float
+) -> int:
+    """max{d : d^(1/q-1/p) mu_d > eps}; 0 when the surrogate never exceeds eps.
+
+    This is the dimension-selection heuristic for covering at radius eps:
+    the surrogate must eventually decay (decay index above 1/q - 1/p).
+    """
+    if eps <= 0:
+        raise EntropyError("eps must be positive")
+    rp, rq = as_exponent(p).reciprocal(), as_exponent(q).reciprocal()
+    e = rq - rp
+    return _largest_index_exceeding(
+        lambda d: d**e * axis(model, d), eps, model.length
+    )

@@ -159,6 +159,10 @@ class TestHilbert:
         with pytest.raises(EntropyError, match="Hilbert leading term leaves the float range"):
             hilbert_leading(0.005, 1, 1e-3)
 
+    def test_second_order_overflow_is_typed(self):
+        with pytest.raises(EntropyError, match="Hilbert leading term leaves the float range"):
+            hilbert_second_order(0.005, 0.006, 1.0, 1.0, 1e-3)
+
     def test_second_order_reduces_to_leading(self):
         assert hilbert_second_order(1.0, 1.3, 2.0, 0.0, 1e-3) == hilbert_leading(1.0, 2.0, 1e-3)
 
@@ -255,6 +259,18 @@ class TestSumExpansion:
         with pytest.raises(EntropyError):
             sum_expansion_check(1.0, 2.5, 1.0, 1.0, 10)
 
+    @pytest.mark.parametrize("args", [
+        (100.0, 1.0, 1.0, 1.0, 10**4),  # d**a with a = 100
+        (1.0, 1.5, 1e-300, 1e10, 10),  # c2 / c1
+    ])
+    def test_overflow_is_typed(self, args):
+        with pytest.raises(EntropyError, match="second-order term leaves the float range"):
+            sum_expansion_check(*args)
+
+    def test_non_positive_law_is_typed(self):
+        with pytest.raises(EntropyError, match="not positive at n=1"):
+            sum_expansion_check(1.0, 1.5, 1.0, -2.0, 10)
+
 
 class TestInvertSeries:
     def test_pure_power_exact_inverse(self):
@@ -273,6 +289,10 @@ class TestInvertSeries:
             u = invert_series(a1, a2, c1, c2, g)
             rel.append(abs(forward(u) - g) / g)
         assert rel[0] > rel[1] > rel[2]
+
+    def test_overflow_is_typed(self):
+        with pytest.raises(EntropyError, match="leading term leaves the float range"):
+            invert_series(0.005, 0.006, 1.0, 1.0, 1e-3)
 
     def test_correction_sign(self):
         base = invert_series(1.0, 1.5, 1.0, 0.0, 1e-3)

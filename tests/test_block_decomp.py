@@ -19,7 +19,7 @@ from ellentropy.block_decomp import (
     tail_radius,
 )
 from ellentropy.errors import DivergentTail, EntropyError, NonCompactRegime, ScanCapExceeded
-from ellentropy.finite_bounds import density_upper_bound
+from ellentropy.finite_bounds import _density_upper_bound
 from ellentropy.hyperrect import exact_entropy
 from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial, axis, tail_power_sum
 
@@ -157,12 +157,12 @@ class TestInfiniteUpperBound:
         # or the regime is non-compact or past the dimension cap
         bounds = []
 
-        def recording(E, q, eps, eta):
-            bound = density_upper_bound(E, q, eps, eta)
+        def recording(p, q, d, mu_d, lg_gmean, eps, eta):
+            bound = _density_upper_bound(p, q, d, mu_d, lg_gmean, eps, eta)
             bounds.append((eps, bound.valid_radius_range))
             return bound
 
-        monkeypatch.setattr(block_decomp, "density_upper_bound", recording)
+        monkeypatch.setattr(block_decomp, "_density_upper_bound", recording)
         head = tuple(0.9 * 0.82**i for i in range(24))
         models = [
             Canonical(2.0, 1.0),

@@ -1,10 +1,14 @@
 import decimal
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ellentropy
 from ellentropy.cli import main, parse_model
 from ellentropy.errors import InvalidModel
 from ellentropy.hyperrect import exact_entropy
@@ -297,3 +301,14 @@ class TestSweep:
             capsys, "sweep", "--model", "canonical:b=1,c=1", "--eps-grid", "oops"
         )
         assert code == 2
+
+
+def test_import_leaves_numpy_unloaded():
+    # only the oracle needs numpy; the package imports it on first use
+    src = str(Path(ellentropy.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import ellentropy, ellentropy.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60
+    )
+    assert ellentropy.oracle.greedy_cover is ellentropy.greedy_cover

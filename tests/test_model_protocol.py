@@ -1,4 +1,4 @@
-"""The algorithms read a model only through the six protocol members.
+"""The algorithms read a model only through the seven protocol members.
 
 ``Forwarding`` wraps a model of any family and exposes nothing but those
 members; it is not a subclass of any family.  Every entry point must give
@@ -19,8 +19,10 @@ from ellentropy.sequences import (
     Canonical,
     Tabulated,
     TwoTermPolynomial,
+    cesaro_log_ratio,
     counting,
     ensure_non_increasing,
+    log_product,
     tail_power_sum,
 )
 
@@ -54,6 +56,9 @@ class Forwarding:
 
     def tail_power_sum(self, d, theta):
         return self._model.tail_power_sum(d, theta)
+
+    def log_product(self, d):
+        return self._model.log_product(d)
 
 
 MODELS = [
@@ -102,6 +107,11 @@ def test_forwarding_model_gives_the_same_results(model):
     for d, theta in itertools.product((0, 5, 60), (1.0, 2.5)):
         assert outcome(lambda: tail_power_sum(fwd, d, theta)) == outcome(
             lambda: tail_power_sum(model, d, theta)
+        )
+    for d in (1, 3, 40):
+        assert outcome(lambda: log_product(fwd, d)) == outcome(lambda: log_product(model, d))
+        assert outcome(lambda: cesaro_log_ratio(fwd, d)) == outcome(
+            lambda: cesaro_log_ratio(model, d)
         )
     assert outcome(lambda: ensure_non_increasing(fwd, 50)) == outcome(
         lambda: ensure_non_increasing(model, 50)
