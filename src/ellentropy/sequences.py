@@ -16,8 +16,9 @@ Each family implements the ``SemiAxisModel`` protocol: the primitives
 every algorithm reads a sequence through.  On top of them the module
 provides the threshold counting function M_k(t) = #{n : mu_n > k*t},
 certified partial log-products (in closed form for canonical laws),
-certified two-sided bounds on tail power sums, and the Cesaro mean of
-log(mu_n / mu_N).
+certified enclosures of tail power sums (through a Hurwitz zeta enclosure
+built on the Euler-Maclaurin formula, so their cost does not grow with the
+cut), and the Cesaro mean of log(mu_n / mu_N).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Protocol
 
-from .constants import LN2
+from .constants import LN2, _hurwitz_tail
 from .errors import (
     DivergentTail,
     IndexBeyondTable,
@@ -68,7 +69,9 @@ class SemiAxisModel(Protocol):
         """
 
     def tail_power_sum(self, d: int, theta: float) -> Interval:
-        """Certified enclosure of sum_{n > d} mu_n**theta for d >= 0."""
+        """Certified enclosure of sum_{n > d} mu_n**theta for d >= 0, with
+        lo >= 0 and hi > 0 when the sum is positive; raises DivergentTail
+        when theta times the decay index is at most 1."""
 
     def log_product(self, d: int) -> Interval:
         """Certified enclosure of sum_{n <= d} log2 mu_n for d >= 1."""
@@ -115,22 +118,91 @@ def _log2_sum(values: Iterable[float], count: int, largest: float, smallest: flo
     return Interval(total - slack, total + slack)
 
 
-# Number of explicit terms summed before bracketing a tail by integrals.
-_TAIL_PREFIX = 2000
+# A tail sum stops adding explicit terms once its Euler-Maclaurin
+# remainder is below this fraction of the value.
+_EM_TARGET = 2.0**-46
+# Explicit head terms a two-term tail sum adds before its binomial series.
+_HEAD_TERMS = 1024
+# Largest number of binomial-series terms in a two-term tail sum.
+_SERIES_TERMS = 64
 
 
-def _power_tail_interval(m: int, s: float) -> Interval:
-    """Enclosure of sum_{n > m} n**-s via integral comparison; needs s > 1.
+def _outward(lo: float, hi: float) -> Interval:
+    """[lo, hi] moved one float outward, for a sum of positive terms:
+    lo stays >= 0, and hi is at least the smallest positive float."""
+    return Interval(max(0.0, math.nextafter(lo, -math.inf)), math.nextafter(hi, math.inf))
 
-    The tail sums sum the first ``_TAIL_PREFIX`` terms explicitly and
-    bracket the remainder by
 
-        int_{m+1}^inf f  <=  sum_{n > m} f(n)  <=  f(m+1) + int_{m+1}^inf f,
+def _scaled(z: Interval, factor: float) -> Interval:
+    """z times a positive factor computed within one ulp (a float power),
+    rounded outward; the 2**-1074 covers a factor that underflowed."""
+    err = 2.0**-50 * factor + 2.0**-1074
+    return _outward(z.lo * (factor - err), z.hi * (factor + err))
 
-    applied to the dominating power law.
+
+def _powers_sum(terms: list, rel: float) -> Interval:
+    """Enclosure of the exact sum of values whose float powers are
+    ``terms``, each within ``rel`` relative (and 2**-1074 absolute, for an
+    underflowed term); math.fsum adds half an ulp."""
+    total = math.fsum(terms)
+    slack = (rel + 2.0**-51) * total + len(terms) * 2.0**-1074
+    return Interval(total - slack, total + slack)
+
+
+def _hurwitz(s: float, a: int, s_err: float) -> Interval:
+    """Certified enclosure of zeta(s', a) = sum_{n >= a} n**-s' for every
+    exponent s' within ``s_err`` of the float s > 1, with a >= 1.
+
+    Explicit terms run from a up to a cut (none at first, then 16, then
+    doubled) until the Euler-Maclaurin remainder at the cut
+    (``constants._hurwitz_tail``) falls below 2**-46 of the value, or the
+    cut's own term underflows, which bounds the rest by
+    2**-1074 (1 + cut/(s-1)).  The corrections stop before their powers of
+    the cut leave the normal range.  The enclosure is the value plus or
+    minus:
+
+    * the remainder, which the first omitted correction bounds, since every
+      even derivative of x**-s is positive;
+    * the rounding of the formula, under 48 half-ulps of the sum of its
+      terms' sizes.  The correction sizes |c_i| fall and then rise (their
+      ratios increase with i), so their sum is at most 6 (|c_1| + remainder);
+    * the rounding of the explicit terms (pow within one ulp, fsum within
+      half of one) and 2**-1074 per term or step that underflowed;
+    * the exponent: d ln zeta(s', a)/ds' is minus the mean of ln n under
+      the weights n**-s', below ln(cut) + 1/(s'-1) + 1, so an exponent
+      error e moves the sum by a factor within
+      exp(+-e (ln(cut) + 1/(s-1-e) + 2)); the second + 1 covers float(n)
+      rounding past 2**53.  When s - e <= 1 the sum may diverge, and hi is
+      infinite.
     """
-    integral = (m + 1) ** (1.0 - s) / (s - 1.0)
-    return Interval(integral, integral + (m + 1) ** (-s))
+    terms: list = []
+    cut = a
+    while True:
+        head = math.fsum(terms)
+        first = float(cut) ** -s
+        if first == 0.0:
+            slack = 2.0**-1074 * (1.0 + cut / (s - 1.0))
+            value = head
+            break
+        corrections = 6
+        if cut > 1:
+            # every power cut**(-s-1-2i) the corrections use stays >= 2**-960
+            fit = ((math.log2(first) + 960.0) / math.log2(cut) - 1.0) / 2.0
+            corrections = max(0, min(6, math.floor(fit)))
+        tail, rem = _hurwitz_tail(s, cut, corrections)
+        value = head + tail
+        if rem <= _EM_TARGET * value:
+            size = first * (cut / (s - 1.0) + 0.5 + s / (2.0 * cut)) + 6.0 * rem
+            slack = rem * (1.0 + 2.0**-40) + 2.0**-47 * size + 2.0**-1070 * (1.0 + s)
+            break
+        step = max(16, cut - a)
+        terms.extend(float(n) ** -s for n in range(cut, cut + step))
+        cut += step
+    slack += 2.0**-50 * value + len(terms) * 2.0**-1074
+    gap = s - 1.0 - s_err
+    spread = s_err * (math.log(cut) + 2.0 + 1.0 / gap) if gap > 0 else math.inf
+    grow = (math.expm1(spread) if spread < 700.0 else math.inf) + 2.0**-50
+    return _outward((value - slack) / (1.0 + grow), (value + slack) * (1.0 + grow))
 
 
 @dataclass(frozen=True)
@@ -175,11 +247,10 @@ class Canonical:
         s = self.b * theta
         if s <= 1.0:
             raise DivergentTail(f"tail power sum diverges: theta*b = {s} <= 1")
-        m = d + _TAIL_PREFIX
-        prefix = kahan_sum(
-            (self.c * float(n) ** (-self.b)) ** theta for n in range(d + 1, m + 1)
-        )
-        return _power_tail_interval(m, s).scale(self.c**theta) + prefix
+        # c**theta * zeta(s, d + 1), in O(1) once d + 1 passes the few
+        # explicit terms the Hurwitz enclosure needs; s = b*theta is within
+        # half an ulp of the exact product
+        return _scaled(_hurwitz(s, d + 1, s * 2.0**-53), self.c**theta)
 
     def log_product(self, d: int) -> Interval:
         """d log2 c - b log2(d!), with log2(d!) = lgamma(d + 1) / ln 2, in O(1).
@@ -253,19 +324,93 @@ class TwoTermPolynomial:
         return last_passing(lambda n: _above(self, n, t), start - 1)
 
     def tail_power_sum(self, d: int, theta: float) -> Interval:
+        """The head explicitly, then c1**theta times a binomial series.
+
+        With r = c2/c1, delta = alpha2 - alpha1 and x_n = |r| n**-delta,
+        mu_n**theta = c1**theta n**-s (1 + r n**-delta)**theta.  Terms are
+        summed explicitly while x_n > 1/16 (at most ``_HEAD_TERMS`` of
+        them); past that cut m, x = x_{m+1} bounds every x_n and
+
+            sum_{n > m} mu_n**theta
+              = c1**theta sum_k binom(theta, k) r**k zeta(s + k delta, m + 1).
+
+        The series runs until a bound on the rest falls below 2**-46 of
+        the sum (see ``_binomial_tail``).  When x >= 1, theta >
+        2 ``_SERIES_TERMS`` or |r| >= 2**13 (where binom(theta, k) r**k
+        could overflow), the factor (1 + r n**-delta)**theta is enclosed
+        instead by its values at n = m + 1 and at infinity.
+        """
         s = self.alpha1 * theta
         if s <= 1.0:
             raise DivergentTail(f"tail power sum diverges: theta*alpha1 = {s} <= 1")
-        m = max(d, self.dominance_index()) + _TAIL_PREFIX
-        prefix = kahan_sum(self.axis(n) ** theta for n in range(d + 1, m + 1))
-        # Past m the correction factor mu_n * n**alpha1 = c1 + c2 * n^{a1-a2}
-        # is monotone in n, so it is enclosed by its values at m+1 and infinity.
-        at_m1 = self.c1 + self.c2 * float(m + 1) ** (self.alpha1 - self.alpha2)
-        a_lo, a_hi = min(self.c1, at_m1), max(self.c1, at_m1)
-        if a_lo <= 0:
-            raise InvalidModel("two-term model not positive past the scanned prefix")
-        bracket = _power_tail_interval(m, s)
-        return Interval(bracket.lo * a_lo**theta, bracket.hi * a_hi**theta) + prefix
+        r = self.c2 / self.c1
+        delta = self.alpha2 - self.alpha1
+        m = d
+        if r:
+            reach = math.log(16.0 * abs(r)) / delta  # x_n <= 1/16 once ln n >= reach
+            if reach > math.log(d + 1 + _HEAD_TERMS):
+                m = d + _HEAD_TERMS
+            else:
+                m = max(d, math.ceil(math.exp(reach)) - 1)
+        # mu_n is within 4 half-ulps times kappa = (c1 + |c2| n**-delta)/mu_n
+        # of its float, largest at n = d + 1; the power multiplies that by theta
+        kappa = 1.0
+        if r < 0:
+            x_first = -r * float(d + 1) ** -delta
+            kappa = (1.0 + x_first) / (1.0 - x_first)
+        head = _powers_sum(
+            [self.axis(n) ** theta for n in range(d + 1, m + 1)], 2.0**-50 * (theta * kappa + 1.0)
+        )
+        x = abs(r) * float(m + 1) ** -delta * (1.0 + 2.0**-40)
+        if x < 1.0 and theta <= 2 * _SERIES_TERMS and abs(r) < 2.0**13:
+            rest = self._binomial_tail(m + 1, theta, s, r, delta, x)
+        else:
+            factor = (1.0 + math.copysign(x, r)) ** theta if x < 1.0 or r > 0 else 0.0
+            low, high = min(1.0, factor), max(1.0, factor)
+            err = (theta + 4.0) * 2.0**-52  # 1 + x rounds by half an ulp, then the power
+            z = _hurwitz(s, m + 1, s * 2.0**-53)
+            rest = Interval(z.lo * low * (1.0 - err), z.hi * high * (1.0 + err))
+        rest = _scaled(rest, self.c1**theta)
+        return _outward(head.lo + rest.lo, head.hi + rest.hi)
+
+    @staticmethod
+    def _binomial_tail(a: int, theta: float, s: float, r: float, delta: float, x: float) -> Interval:
+        """Enclosure of sum_{n >= a} n**-s (1 + r n**-delta)**theta by the
+        binomial series, for |r| n**-delta <= x < 1 on n >= a and
+        theta <= 2 ``_SERIES_TERMS``.
+
+        Since zeta(s + k delta, a) <= a**(-k delta) zeta(s, a), the terms
+        from k on add up to at most |binom(theta, k)| x**k zeta(s, a) /
+        (1 - rho_k), where rho_k = x max(1, (theta - k)/(k + 1)) bounds the
+        ratio of successive |binom(theta, j)| x**j for j >= k; at
+        k = ``_SERIES_TERMS`` it is x.  The series stops at the first k with
+        rho_k < 1 where that bound is below 2**-46 of the sum, and adds it.
+        Each coefficient binom(theta, k) r**k is within 4k + 2 half-ulps of
+        its exact value, and each float exponent s + k delta within
+        4 half-ulps of itself; both are widened for.
+        """
+        z0 = _hurwitz(s, a, s * 2.0**-51)
+        lows, highs = [], []
+        coef, bound, size, k = 1.0, 1.0, 0.0, 0  # bound = |binom(theta, k)| x**k
+        while True:
+            rho = x * max(1.0, (theta - k) / (k + 1))
+            if rho < 1.0 and (
+                bound * z0.hi <= _EM_TARGET * (1.0 - rho) * math.fsum(lows) or k == _SERIES_TERMS
+            ):
+                # 2**-1074 covers a bound that underflowed
+                rem = (bound + 2.0**-1074) * z0.hi / (1.0 - rho) * (1.0 + 2.0**-40)
+                break
+            sk = s + k * delta
+            term = (_hurwitz(sk, a, sk * 2.0**-51) if k else z0).scale(coef)
+            lows.append(term.lo)
+            highs.append(term.hi)
+            size += (k + 1) * max(-term.lo, term.hi)
+            step = (theta - k) / (k + 1)
+            coef *= step * r
+            bound *= abs(step) * x
+            k += 1
+        slack = 2.0**-50 * size + rem
+        return Interval(math.fsum(lows) - slack, math.fsum(highs) + slack)
 
     def log_product(self, d: int) -> Interval:
         """The per-axis sum, in O(d): the two-term law has no closed-form
@@ -343,11 +488,15 @@ class Tabulated:
         return self.tail.last_exceeding(max(start, L + 1), t)
 
     def tail_power_sum(self, d: int, theta: float) -> Interval:
+        """The table's terms (pow within one ulp, fsum within half of one),
+        plus the canonical tail's enclosure past the table."""
         L = len(self.values)
-        finite = kahan_sum(self.values[n - 1] ** theta for n in range(d + 1, L + 1))
+        terms = [v**theta for v in self.values[d:]]
+        finite = _powers_sum(terms, 2.0**-51)
         if self.tail is None:
-            return Interval(finite, finite)
-        return self.tail.tail_power_sum(max(d, L), theta) + finite
+            return _outward(*finite) if terms else Interval(0.0, 0.0)
+        rest = self.tail.tail_power_sum(max(d, L), theta)
+        return _outward(finite.lo + rest.lo, finite.hi + rest.hi)
 
     def log_product(self, d: int) -> Interval:
         """A Kahan sum over at most the table, plus the tail's log-product
@@ -465,10 +614,14 @@ def cesaro_log_ratio(model: SemiAxisModel, N: int) -> float:
 def tail_power_sum(model: SemiAxisModel, d: int, theta: float) -> Interval:
     """Certified enclosure of sum_{n > d} mu_n**theta.
 
-    The first ``_TAIL_PREFIX`` terms are summed explicitly and the rest is
-    bracketed by integrals of the dominating power law (see
-    ``_power_tail_interval``).  Convergence requires the mapped exponent
-    theta times the decay index to exceed 1.
+    A canonical law is c**theta times a Hurwitz zeta value, enclosed by the
+    Euler-Maclaurin formula after at most a few dozen explicit terms (see
+    ``_hurwitz``), so its cost does not depend on d; a table sums its own
+    entries and hands the rest to its canonical tail; a two-term law sums
+    its head until the second term is small, then a binomial series of
+    Hurwitz values.  The enclosure covers every rounding and has lo >= 0
+    and hi > 0 for a positive sum.  Convergence requires the mapped
+    exponent theta times the decay index to exceed 1.
     """
     if d < 0:
         raise InvalidModel("d must be >= 0")
