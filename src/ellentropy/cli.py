@@ -69,7 +69,8 @@ def _exponent_json(p: HolderExponent):
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # one line: an indented per_axis_counts takes a line per axis
+    text = json.dumps(payload, sort_keys=True)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -79,6 +80,23 @@ def _emit(payload: dict, args) -> None:
 
 def _bits_out(bits: float, args) -> float:
     return bits * LN2 if getattr(args, "nats", False) else bits
+
+
+class _InvalidOption(Exception):
+    """An option value the query cannot use.  It is not a ValueError, so
+    when an argparse ``type`` raises it, it reaches ``main`` as invalid
+    input instead of becoming argparse's usage error."""
+
+
+def _positive_finite(text: str) -> float:
+    """The ``type`` of ``--eps``: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise _InvalidOption(f"--eps must be a positive finite number, got {text!r}")
+    return value
 
 
 def _parse_list(text: str, convert) -> tuple:
@@ -95,8 +113,8 @@ def _parse_eps_grid(text: str) -> List[float]:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise EntropyError(f"bad --eps-grid {text!r}, expected start:stop:count") from exc
-    if count < 1 or start <= 0 or stop <= 0:
-        raise EntropyError("eps grid needs positive endpoints and count >= 1")
+    if count < 1 or not all(x > 0 and math.isfinite(x) for x in (start, stop)):
+        raise EntropyError("eps grid needs positive finite endpoints and count >= 1")
     if count == 1:
         return [start]
     la, lb = math.log(start), math.log(stop)
@@ -421,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, eps=True):
         if eps:
-            sp.add_argument("--eps", type=float, required=True)
+            sp.add_argument("--eps", type=_positive_finite, required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--nats", action="store_true", help="report natural-log units")
 
@@ -522,7 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except _InvalidOption as exc:
+        print(json.dumps({"error": str(exc), "kind": "invalid-input"}), file=sys.stderr)
+        return EXIT_INVALID
     try:
         payload = args.func(args)
     except _NonCompactWithPayload as exc:

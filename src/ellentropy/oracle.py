@@ -13,6 +13,18 @@ box.  Greedy selection in a fixed lexicographic scan then produces
 Determinism is part of the contract: identical inputs give identical
 counts, regardless of how the distance computations are batched.
 
+The grid is never materialized.  Each axis keeps one 1-D vector of its
+cell centres, and grid point (k_0, ..., k_{d-1}) is the tuple
+(side_0[k_0], ..., side_{d-1}[k_{d-1}]).  Distances over an index box are
+built from per-axis terms |side_j[lo:hi] - c_j| (squared for q = 2,
+raised to q otherwise) broadcast against each other and folded left to
+right, ((t_0 + t_1) + t_2), before the final root; the body mask is the
+same kernel on side_j / a_j.  Each term is the float a full-grid sweep computes for that
+coordinate, and numpy's reduction over a length-3 last axis adds in the
+same left-to-right order (max is exact in any order), so every distance,
+and hence every count, is bit-identical to the full-grid sweep of
+``tests/grid_reference.py``.
+
 Each greedy step works on an index window: the sub-box of grid cells
 whose centres lie, on every axis, within the step's reach of its centre
 plus one cell width.  The reach is eps when marking cells covered, 2 eps
@@ -21,21 +33,20 @@ cover centre, a computed distance from the snap target to a retained
 cell, which the nearest retained cell cannot exceed.  A cell outside the
 window is more than reach + one cell width away in some coordinate, so
 its computed q-norm distance exceeds the reach as well and the full-grid
-test would leave it unchanged.  Inside the window, distances are taken
-only for cells whose state can still change, each by the same float
-expression on the same coordinates as in a full-grid sweep, and a
-C-ordered sub-box keeps lexicographic order, so ``argmin`` breaks ties
-the same way.  The counts therefore do not depend on the batching.
-Because the set of covered (or unavailable) cells only grows, the first
-uncovered (or available) cell in lexicographic order is found by a
-pointer that only moves forward.
+test would leave it unchanged.  Inside the window, a marked cell stays
+marked and an unmarked one takes the full-grid test, and a C-ordered
+box keeps lexicographic order, so ``argmin`` breaks ties the same way.
+The counts therefore do not depend on the batching.  Because the set of
+covered (or unavailable) cells only grows, the first uncovered (or
+available) cell in lexicographic order is found by a pointer that only
+moves forward.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,40 +79,79 @@ class OracleReport:
     delta: float
 
 
-def _qnorm(diff: np.ndarray, q: HolderExponent) -> np.ndarray:
-    a = np.abs(diff)
+def _fold(terms: Sequence[np.ndarray], op) -> np.ndarray:
+    """``op`` over per-axis 1-D terms, left to right, on their open mesh:
+    term j varies along axis j, and the result has shape
+    ``(len(terms[0]), ..., len(terms[-1]))``."""
+    d = len(terms)
+    acc = terms[0].reshape((-1,) + (1,) * (d - 1))
+    for j in range(1, d):
+        acc = op(acc, terms[j].reshape((-1,) + (1,) * (d - 1 - j)))
+    return acc
+
+
+def _qnorm(diffs: Sequence[np.ndarray], q: HolderExponent) -> np.ndarray:
+    """q-norms over the open mesh of per-axis coordinate differences."""
     if q.is_inf:
-        return a.max(axis=-1)
+        return _fold([np.abs(x) for x in diffs], np.maximum)
     if q.value == 1.0:
-        return a.sum(axis=-1)
+        return _fold([np.abs(x) for x in diffs], np.add)
     if q.value == 2.0:
-        return np.sqrt((a * a).sum(axis=-1))
-    return (a**q.value).sum(axis=-1) ** (1.0 / q.value)
+        s = _fold([x * x for x in diffs], np.add)  # x * x == |x| * |x| exactly
+        return np.sqrt(s, out=s)
+    s = _fold([np.abs(x) ** q.value for x in diffs], np.add)
+    s **= 1.0 / q.value
+    return s
 
 
-def _pnorm_mu(points: np.ndarray, axes: np.ndarray, p: HolderExponent) -> np.ndarray:
-    scaled = np.abs(points) / axes
-    if p.is_inf:
-        return scaled.max(axis=-1)
-    return (scaled**p.value).sum(axis=-1) ** (1.0 / p.value)
+def _vnorm(v: np.ndarray, q: HolderExponent) -> float:
+    """q-norm of one vector, with the arithmetic of ``_qnorm``.
+
+    For q in {1, 2, inf} the terms are folded left to right in Python
+    floats, whose abs, +, * and sqrt round exactly as numpy's do; other
+    exponents go through ``_qnorm`` itself, so the powers are numpy's.
+    """
+    if not (q.is_inf or q.value in (1.0, 2.0)):
+        return _qnorm(v[:, None], q).item()
+    acc = 0.0
+    for x in v.tolist():
+        if q.is_inf:
+            acc = max(acc, abs(x))
+        else:
+            acc += x * x if q.value == 2.0 else abs(x)
+    return math.sqrt(acc) if q.value == 2.0 else acc
 
 
-def _grid(axes: Tuple[float, ...], resolution: int) -> np.ndarray:
-    """Cell-centre grid of the bounding box, shape ``(resolution,)*d + (d,)``.
+def _pnorm_mu(coords: Sequence[np.ndarray], axes: Sequence[float], p: HolderExponent) -> np.ndarray:
+    """Ellipsoid norms over the open mesh of per-axis coordinates
+    (|x| / a == |x / a| exactly, as a > 0)."""
+    return _qnorm([x / a for x, a in zip(coords, axes)], p)
+
+
+def _sides(axes: Tuple[float, ...], resolution: int) -> List[np.ndarray]:
+    """Cell centres of each axis of the bounding-box grid.
 
     Cell k of axis j has centre -a_j + (k + 1/2) w_j with cell width
-    w_j = 2 a_j / resolution; C order over the first d axes is
-    lexicographic order in the indices.
+    w_j = 2 a_j / resolution; C order over the indices of the open mesh
+    is lexicographic order.
     """
     d = len(axes)
     if resolution**d > GRID_POINT_CAP:
         raise EnumerationTooLarge(
             f"grid of {resolution**d} points exceeds the cap", count=resolution**d
         )
-    sides = [
-        -a + (2 * np.arange(1, resolution + 1) - 1) * (a / resolution) for a in axes
-    ]
-    return np.stack(np.meshgrid(*sides, indexing="ij"), axis=-1)
+    return [-a + (2 * np.arange(1, resolution + 1) - 1) * (a / resolution) for a in axes]
+
+
+def _point(sides: Sequence[np.ndarray], index) -> np.ndarray:
+    return np.array([side[k] for side, k in zip(sides, index)])
+
+
+def _box_qnorm(
+    sides: Sequence[np.ndarray], box: Tuple[slice, ...], centre: np.ndarray, q: HolderExponent
+) -> np.ndarray:
+    """q-norm distances from ``centre`` to every grid point of ``box``."""
+    return _qnorm([side[sl] - c for side, sl, c in zip(sides, box, centre)], q)
 
 
 def _window(
@@ -123,8 +173,8 @@ def _check_instance(E: FiniteEllipsoid, eps: float, resolution: int) -> None:
         raise EntropyError("oracle supports dimensions 1 to 3 only")
     if resolution < 8:
         raise EntropyError("resolution must be at least 8")
-    if eps <= 0:
-        raise EntropyError("eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise EntropyError("eps must be positive and finite")
 
 
 def _cell_half_widths(E: FiniteEllipsoid, resolution: int) -> np.ndarray:
@@ -151,11 +201,11 @@ def greedy_cover(
     q = as_exponent(q)
     _check_instance(E, eps, resolution)
     half = _cell_half_widths(E, resolution)
-    grid = _grid(E.axes, resolution)
+    sides = _sides(E.axes, resolution)
     axes = np.array(E.axes)
-    slack = float(_pnorm_mu(half[None, :], axes, E.p)[0])
-    retained = _pnorm_mu(grid, axes, E.p) <= 1.0 + slack
-    delta = float(_qnorm(half[None, :], q)[0])
+    slack = _vnorm(half / axes, E.p)
+    retained = _pnorm_mu(sides, E.axes, E.p) <= 1.0 + slack
+    delta = _vnorm(half, q)
 
     # Forward-diagonal shift of q-norm length 0.95 eps: the center for the
     # first uncovered point is the grid point nearest to point + shift (the
@@ -163,34 +213,32 @@ def greedy_cover(
     # this is the near-optimal interval rule; in higher dimensions it
     # advances a full frontier instead of hugging the scan axis.
     diag = np.ones(len(E.axes))
-    shift = 0.95 * eps * diag / float(_qnorm(diag[None, :], q)[0])
-    points = grid.reshape(-1, len(E.axes))
+    shift = 0.95 * eps * diag / _vnorm(diag, q)
     covered = ~retained  # cells outside the body need no cover
     flat = covered.reshape(-1)
     count = i = 0
     while True:
-        i += int(np.argmin(flat[i:]))  # first uncovered in lex order
+        i += int(flat[i:].argmin())  # first uncovered in lex order
         if flat[i]:
             break
-        point = points[i]
+        point = _point(sides, np.unravel_index(i, covered.shape))
         target = point + shift
         # the nearest retained cell is no farther from target than point,
         # nor than the cell holding target when that one is retained
-        reach = float(_qnorm((point - target)[None, :], q)[0])
+        reach = _vnorm(point - target, q)
         home = tuple(np.minimum((target + axes) // (2.0 * half), resolution - 1).astype(int))
         if retained[home]:
-            reach = min(reach, float(_qnorm((grid[home] - target)[None, :], q)[0]))
+            reach = min(reach, _vnorm(_point(sides, home) - target, q))
         box = _window(E.axes, resolution, target, reach)
-        window = grid[box]
-        dist = np.where(retained[box], _qnorm(window - target, q), np.inf)
-        centre = window[np.unravel_index(np.argmin(dist), dist.shape)]
-        if _qnorm((centre - point)[None, :], q)[0] > eps:
+        dist = _box_qnorm(sides, box, target, q)
+        dist[~retained[box]] = np.inf
+        nearest = np.unravel_index(dist.argmin(), dist.shape)
+        centre = _point(sides, [sl.start + k for sl, k in zip(box, nearest)])
+        if _vnorm(centre - point, q) > eps:
             centre = point
         count += 1
         box = _window(E.axes, resolution, centre, eps)
-        sub = covered[box]  # a view: writes land in covered
-        todo = ~sub
-        sub[todo] = _qnorm(grid[box][todo] - centre, q) <= eps
+        covered[box] |= _box_qnorm(sides, box, centre, q) <= eps
     return OracleReport(
         cover_count=count,
         pack_count=None,
@@ -200,19 +248,18 @@ def greedy_cover(
 
 
 def _greedy_pack_once(E: FiniteEllipsoid, q: HolderExponent, eps: float, resolution: int) -> int:
-    grid = _grid(E.axes, resolution)
-    available = _pnorm_mu(grid, np.array(E.axes), E.p) <= 1.0  # strict membership
-    points = grid.reshape(-1, len(E.axes))
+    sides = _sides(E.axes, resolution)
+    available = _pnorm_mu(sides, E.axes, E.p) <= 1.0  # strict membership
     flat = available.reshape(-1)
     count = i = 0
     while True:
-        i += int(np.argmax(flat[i:]))  # first available in lex order
+        i += int(flat[i:].argmax())  # first available in lex order
         if not flat[i]:
             return count
         count += 1
-        box = _window(E.axes, resolution, points[i], 2.0 * eps)
-        sub = available[box]  # a view: writes land in available
-        sub[sub] = _qnorm(grid[box][sub] - points[i], q) > 2.0 * eps
+        point = _point(sides, np.unravel_index(i, available.shape))
+        box = _window(E.axes, resolution, point, 2.0 * eps)
+        available[box] &= _box_qnorm(sides, box, point, q) > 2.0 * eps
 
 
 def greedy_pack(
@@ -236,7 +283,7 @@ def greedy_pack(
         cover_count=None,
         pack_count=count,
         grid_resolution=float(2.0 * half.max()),
-        delta=float(_qnorm(half[None, :], q)[0]),
+        delta=_vnorm(half, q),
     )
 
 

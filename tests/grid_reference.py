@@ -1,19 +1,49 @@
 """Full-grid reference for the greedy grid oracle.
 
-``ellentropy.oracle`` updates only the index window of cells within reach
-of each chosen centre.  The loops here take the direct route instead: at
-every greedy step they recompute the q-norm distance from the centre to
-every retained grid point.  They are the oracle the windowed computation
-is tested against, and must give the same cover and pack counts.
+``ellentropy.oracle`` never materializes the grid: it builds distances
+from per-axis coordinate vectors and updates only the index window of
+cells within reach of each chosen centre.  The loops here take the direct
+route instead: they materialize the ``(resolution,)*d + (d,)`` meshgrid of
+cell centres and, at every greedy step, recompute the q-norm distance from
+the centre to every retained grid point, reducing over the last axis.
+They are the oracle the separable, windowed computation is tested
+against, and must give the same cover and pack counts.  The norm kernels
+below are kept here, independent of the code under test.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ellentropy.constants import ExponentLike, as_exponent
+from ellentropy.constants import ExponentLike, HolderExponent, as_exponent
 from ellentropy.finite_bounds import FiniteEllipsoid
-from ellentropy.oracle import _cell_half_widths, _grid, _pnorm_mu, _qnorm
+
+
+def _qnorm(diff: np.ndarray, q: HolderExponent) -> np.ndarray:
+    a = np.abs(diff)
+    if q.is_inf:
+        return a.max(axis=-1)
+    if q.value == 1.0:
+        return a.sum(axis=-1)
+    if q.value == 2.0:
+        return np.sqrt((a * a).sum(axis=-1))
+    return (a**q.value).sum(axis=-1) ** (1.0 / q.value)
+
+
+def _pnorm_mu(points: np.ndarray, axes: np.ndarray, p: HolderExponent) -> np.ndarray:
+    scaled = np.abs(points) / axes
+    if p.is_inf:
+        return scaled.max(axis=-1)
+    return (scaled**p.value).sum(axis=-1) ** (1.0 / p.value)
+
+
+def _grid(axes, resolution: int) -> np.ndarray:
+    """Cell-centre grid of the bounding box, shape ``(resolution,)*d + (d,)``:
+    cell k of axis j has centre -a_j + (k + 1/2) 2 a_j / resolution."""
+    sides = [
+        -a + (2 * np.arange(1, resolution + 1) - 1) * (a / resolution) for a in axes
+    ]
+    return np.stack(np.meshgrid(*sides, indexing="ij"), axis=-1)
 
 
 def _points(E: FiniteEllipsoid, resolution: int) -> np.ndarray:
@@ -24,7 +54,7 @@ def _points(E: FiniteEllipsoid, resolution: int) -> np.ndarray:
 def cover_count(E: FiniteEllipsoid, q: ExponentLike, eps: float, resolution: int) -> int:
     """Greedy cover count with one full-grid distance sweep per step."""
     q = as_exponent(q)
-    half = _cell_half_widths(E, resolution)
+    half = np.array(E.axes) / resolution
     pts = _points(E, resolution)
     axes = np.array(E.axes)
     slack = float(_pnorm_mu(half[None, :], axes, E.p)[0])

@@ -93,6 +93,14 @@ class TestExact:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["value_bits"] == 4.0
 
+    def test_output_is_compact(self, capsys):
+        # d* = 30,303: one line per axis count would more than double the output
+        code, out, _ = run(capsys, "exact", "--model", "canonical:b=1,c=1", "--eps", "3.3e-5")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["certificate"]["effective_dim"] == 30303
+        assert len(out) < 0.5 * len(json.dumps(payload, indent=2, sort_keys=True))
+
     def test_center_count_past_the_digit_limit(self, capsys):
         # 9,999 axes: the covering number has more digits than json.loads
         # accepts in an int, so it is written as a decimal string
@@ -151,6 +159,28 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert json.loads(err)["kind"] == "invalid-input"
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ("exact", "--model", "canonical:b=1,c=1"),
+        ("bound-finite", "--axes", "1,0.5", "--p", "2", "--q", "2"),
+        ("bound-infinite", "--model", "canonical:b=1,c=1", "--p", "2", "--q", "2"),
+        ("mixed-bound", "--model", "table:values=1;0.5", "--dims", "9,3"),
+        ("asymptotic", "--p", "2", "--q", "2", "--b", "1"),
+        ("estimator", "--model", "canonical:b=1,c=1"),
+        ("oracle", "--axes", "1,0.5", "--p", "2", "--q", "2", "--resolution", "16"),
+        ("besov", "--s", "1", "--d", "1", "--p1", "2", "--vol", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_non_finite_eps_is_2(self, capsys, argv, eps):
+        code, out, err = run(capsys, *argv, "--eps", eps)
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "invalid-input"
+
+    @pytest.mark.parametrize("eps", ["0", "-0.1", "abc"])
+    def test_eps_not_positive_number_is_2(self, capsys, eps):
+        code, _, err = run(capsys, "exact", "--model", "canonical:b=1,c=1", "--eps", eps)
+        assert code == 2
+        assert "--eps" in json.loads(err)["error"]
 
     def test_band_overflow_is_2(self, capsys):
         code, _, err = run(
@@ -295,6 +325,12 @@ class TestSweep:
         payload = json.loads(out)
         assert len(payload["rows"]) == 4
         assert all(r["kind"] == "asymptotic" for r in payload["rows"])
+
+    @pytest.mark.parametrize("grid", ["nan:0.3:4", "0.01:inf:4"])
+    def test_non_finite_grid_is_2(self, capsys, grid):
+        code, _, err = run(capsys, "sweep", "--model", "canonical:b=1,c=1", "--eps-grid", grid)
+        assert code == 2
+        assert json.loads(err)["kind"] == "invalid-input"
 
     def test_bad_grid_is_2(self, capsys):
         code, _, _ = run(

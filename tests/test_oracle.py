@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -87,9 +88,31 @@ class TestGuards:
         with pytest.raises(EntropyError):
             greedy_cover(ell(2, [1.0]), 2, 0.3, 4)
 
+    @pytest.mark.parametrize("eps", [INF, math.nan, 0.0, -0.1])
+    def test_eps_must_be_positive_and_finite(self, eps):
+        for run in (greedy_cover, greedy_pack, sandwich_report):
+            with pytest.raises(EntropyError, match="positive and finite"):
+                run(ell(2, [1.0, 0.5]), 2, eps, 16)
+
     def test_grid_cap(self):
         with pytest.raises(EnumerationTooLarge):
             greedy_cover(ell(2, [1.0, 1.0, 1.0]), 2, 0.3, 500)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, INF])
+    def test_peak_below_the_coordinate_grid(self, p):
+        # the (64,)*3 + (3,) float64 coordinate grid alone takes 6 MiB
+        limit = 64**3 * 3 * 8
+        E = ell(p, [1.0, 0.8, 0.6])
+        for run in (greedy_cover, greedy_pack):
+            tracemalloc.start()
+            try:
+                run(E, 2.0, 0.3, 64)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (run.__name__, peak)
 
 
 class TestSandwich:
@@ -153,10 +176,35 @@ def _reference_cases():
     return cases
 
 
+def _tie_cases():
+    # Dyadic axes and resolutions put every cell centre on a dyadic
+    # rational, so coordinate differences are exact multiples of the cell
+    # width.  With eps a multiple of the smallest width, grid distances
+    # equal eps and 2 eps exactly (for q = 2 along an axis, and at 5 widths
+    # also on the 3-4-5 diagonal), which pins the <= and > tie handling.
+    cases = []
+    for axes, res in (((1.0,), 64), ((1.0, 0.5), 32), ((1.0, 0.5, 0.5), 16)):
+        width = 2.0 * axes[-1] / res
+        for q in (1.0, 2.0, INF):
+            for p, m in ((2.0, 4), (INF, 5)):
+                d = len(axes)
+                cases.append(pytest.param(p, axes, q, m * width, res, id=f"tie-d{d}-q{q}-m{m}"))
+    return cases
+
+
 class TestWindowedMatchesReference:
     @pytest.mark.parametrize("p,axes,q,eps,res", _reference_cases())
     def test_counts_equal_full_grid_sweep(self, p, axes, q, eps, res):
         E = ell(p, axes)
+        assert greedy_cover(E, q, eps, res).cover_count == reference.cover_count(E, q, eps, res)
+        assert greedy_pack(E, q, eps, res).pack_count == reference.pack_count(E, q, eps, res)
+
+    @pytest.mark.parametrize("p,axes,q,eps,res", _tie_cases())
+    def test_counts_equal_full_grid_sweep_at_exact_ties(self, p, axes, q, eps, res):
+        E = ell(p, axes)
+        points = reference._points(E, res)
+        dist = reference._qnorm(points - points[len(points) // 2], as_exponent(q))
+        assert (dist == eps).any() and (dist == 2.0 * eps).any()
         assert greedy_cover(E, q, eps, res).cover_count == reference.cover_count(E, q, eps, res)
         assert greedy_pack(E, q, eps, res).pack_count == reference.pack_count(E, q, eps, res)
 
