@@ -36,16 +36,14 @@ from .errors import (
     UnboundedCount,
     UnsupportedCorner,
 )
-from .numerics import kahan_sum
-from .sequences import SemiAxisModel, axis, last_passing
+from .numerics import _check_radius, kahan_sum
+from .sequences import AXIS_CAP, SemiAxisModel, axis, last_passing
 
 NONCOMPACT_A = "NonCompact_a"
 NONCOMPACT_B = "NonCompact_b"
 CRITICAL_II = "Critical_ii"
 COMPACT_III = "Compact_iii"
 COMPACT_IV = "Compact_iv"
-
-_SCAN_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -188,8 +186,9 @@ def canonical_band(
     returned at its known growth order (an extra log-log or log power)
     with constant 1 and flagged as unconfirmed.
     """
-    if eps <= 0 or c <= 0 or b <= 0:
-        raise EntropyError("b, c, eps must be positive")
+    _check_radius(eps)
+    if c <= 0 or b <= 0:
+        raise EntropyError("b and c must be positive")
     pe, qe = as_exponent(p), as_exponent(q)
     regime = classify(
         math.inf if pe.is_inf else pe.value,
@@ -212,8 +211,9 @@ def canonical_band(
 
 def hilbert_leading(b: float, c: float, eps: float) -> float:
     """Exact leading term b c^(1/b)/ln2 * eps^(-1/b) of the p=q=2 entropy."""
-    if eps <= 0 or c <= 0 or b <= 0:
-        raise EntropyError("b, c, eps must be positive")
+    _check_radius(eps)
+    if c <= 0 or b <= 0:
+        raise EntropyError("b and c must be positive")
     scale = _scaled_power("Hilbert leading term", b, c, 1.0 / b) / LN2
     return _scaled_power("Hilbert leading term", scale, eps, -1.0 / b)
 
@@ -228,8 +228,9 @@ def hilbert_second_order(
     """
     if not (0 < alpha1 < alpha2 < alpha1 + 0.5):
         raise EntropyError("need alpha1 < alpha2 < alpha1 + 1/2")
-    if c1 <= 0 or eps <= 0:
-        raise EntropyError("c1 and eps must be positive")
+    _check_radius(eps)
+    if c1 <= 0:
+        raise EntropyError("c1 must be positive")
     frak_a = alpha1 - alpha2 + 1.0
     scale = _scaled_power("Hilbert leading term", alpha1, c1, 1.0 / alpha1) / LN2
     lead = _scaled_power("Hilbert leading term", scale, eps, -1.0 / alpha1)
@@ -238,27 +239,6 @@ def hilbert_second_order(
         "Hilbert second-order term", scale / (LN2 * frak_a), eps, -frak_a / alpha1
     )
     return _finite("Hilbert second-order expansion", lead + second)
-
-
-def _walk(surrogate, eps: float, end: int) -> Tuple[int, bool]:
-    """Walk d = 1..end for max{d : surrogate(d) > eps}.
-
-    Returns the last passing d (0 if none) and whether the walk stopped
-    before ``end``.  The supported families give surrogates of the form
-    A d^u + B d^v (at most one sign change of the derivative), so once the
-    value sits at or below eps while non-increasing it never recovers, and
-    the walk stops there.
-    """
-    last = 0
-    prev = None
-    for d in range(1, end + 1):
-        val = surrogate(d)
-        if val > eps:
-            last = d
-        elif prev is not None and val <= prev:
-            return last, True
-        prev = val
-    return last, False
 
 
 def entropy_estimator(model: SemiAxisModel, eps: float) -> float:
@@ -270,17 +250,16 @@ def entropy_estimator(model: SemiAxisModel, eps: float) -> float:
     by axis, then the model's index search.  The sum is the midpoint of
     the model's log-product enclosure minus d* log2 eps.
     """
-    if not 0 < eps < math.inf:
-        raise EntropyError("eps must be positive and finite")
+    _check_radius(eps)
     start = model.monotone_start()
     try:
         d_star = model.last_exceeding(start, Fraction(eps))
     except UnboundedCount as exc:
-        raise ScanCapExceeded(f"d* is beyond the scan cap {_SCAN_CAP}") from exc
+        raise ScanCapExceeded(f"d* is beyond the scan cap {AXIS_CAP}") from exc
     if d_star < start:
         d_star = max((n for n in range(1, start) if axis(model, n) > eps), default=0)
-    if d_star >= _SCAN_CAP:
-        raise ScanCapExceeded(f"d* = {d_star} reaches the scan cap {_SCAN_CAP}")
+    if d_star >= AXIS_CAP:
+        raise ScanCapExceeded(f"d* = {d_star} reaches the scan cap {AXIS_CAP}")
     if d_star == 0:
         return 0.0
     return model.log_product(d_star).mid - d_star * math.log2(eps)
@@ -294,14 +273,12 @@ def effective_dimension(
     This is the dimension-selection heuristic for covering at radius eps:
     the surrogate must eventually decay (decay index above 1/q - 1/p).
 
-    The indices are walked one by one, with a stop rule, up to the monotone
-    start when 1/q - 1/p <= 0, and all the way otherwise: there d^e rises
-    while mu_d falls, and tables are not unimodal.  Past the monotone start
-    the surrogate is a product of non-increasing positive floats (rounding
-    is monotone), so the passing indices form a prefix, found by a gallop.
+    Each index before ``model.monotone_start(1/q - 1/p)`` is tested on its
+    own (a table need not be unimodal).  From that start on the surrogate
+    does not rise, so its passing indices form a prefix, found by a gallop
+    and a bisection up to the cap.
     """
-    if eps <= 0:
-        raise EntropyError("eps must be positive")
+    _check_radius(eps)
     rp, rq = as_exponent(p).reciprocal(), as_exponent(q).reciprocal()
     e = rq - rp
     b = model.decay_index
@@ -310,22 +287,23 @@ def effective_dimension(
             f"d^(1/q-1/p) mu_d grows without bound: decay index b = {b} "
             f"is below 1/q - 1/p = {e}"
         )
+    try:
+        start = model.monotone_start(e)
+    except UnboundedCount as exc:
+        raise ScanCapExceeded(f"d^(1/q-1/p) mu_d does not fall within reach: {exc}") from exc
+    end = AXIS_CAP if model.length is None else min(AXIS_CAP, model.length)
+    if start > end + 1:
+        raise ScanCapExceeded(f"d^(1/q-1/p) mu_d rises past the cap {AXIS_CAP}")
 
-    def surrogate(d: int) -> float:
-        return d**e * axis(model, d)
+    def passes(d: int) -> bool:
+        return d**e * axis(model, d) > eps
 
-    L = model.length
-    end = _SCAN_CAP if L is None else min(_SCAN_CAP, L)
-    head_end = end if e > 0 else min(end, model.monotone_start() - 1)
-    last, stopped = _walk(surrogate, eps, head_end)
-    if not stopped and head_end < end:
-        start = head_end + 1
-        if surrogate(start) > eps:
-            last = last_passing(lambda d: surrogate(d) > eps, start, end)
-        stopped = last < end
-    if stopped or end == L:
-        return last
-    raise ScanCapExceeded(f"surrogate still above eps at the scan cap {_SCAN_CAP}")
+    last = last_passing(passes, start - 1, end)
+    if last < start:
+        last = max((d for d in range(1, start) if passes(d)), default=0)
+    if last == AXIS_CAP and last != model.length:
+        raise ScanCapExceeded(f"surrogate still above eps at the scan cap {AXIS_CAP}")
+    return last
 
 
 def sum_expansion_check(

@@ -37,9 +37,9 @@ from .finite_bounds import (
     _density_upper_bound,
     product_grid_upper_bound,
 )
-from .numerics import kahan_sum
+from .numerics import _check_radius, kahan_sum
 from .results import CERTIFIED_LOWER, CERTIFIED_UPPER, BoundCertificate, EntropyResult
-from .sequences import SemiAxisModel, axis, ensure_non_increasing, tail_power_sum
+from .sequences import SemiAxisModel, axis, ensure_non_increasing, last_passing, tail_power_sum
 
 CASE_I = "I"
 CASE_II = "II"
@@ -182,26 +182,19 @@ def infinite_upper_bound(
     p: ExponentLike,
     q: ExponentLike,
     eps: float,
-    tail_fraction: Optional[float] = None,
 ) -> Tuple[EntropyResult, BoundCertificate]:
     """Certified upper bound on the entropy of an infinite-dimensional
     p-ellipsoid in q-norm, via a single finite block plus residual.
 
-    The cut dimension d is the smallest one whose tail radius drops below
-    eps * tail_fraction (default: the equal-q-power split 2^(-1/q), or the
-    full eps when q is the sup norm); the finite block is then covered at
-    the complementary radius through the density bound, with eta set to
-    the smallest admissible value.
+    The cut dimension d is the smallest one whose tail radius is at most
+    eps 2^(-1/q) (the equal-q-power split; the full eps when q is the sup
+    norm), found by a gallop and a bisection up to ``_DIM_SCAN_CAP``; the
+    finite block is then covered at the complementary radius through the
+    density bound, with eta set to the smallest admissible value.
     """
     p, q = as_exponent(p), as_exponent(q)
-    if eps <= 0:
-        raise EntropyError("eps must be positive")
+    _check_radius(eps)
     case, b = _pick_case(model, p, q)
-
-    if tail_fraction is None:
-        tail_fraction = 1.0 if q.is_inf else 2.0 ** (-q.reciprocal())
-    if not 0 < tail_fraction <= 1:
-        raise EntropyError("tail_fraction must lie in (0, 1]")
 
     def tail_at(d: int) -> float:
         return _tail_radius_any(model, d, p, q, case, b)
@@ -217,8 +210,13 @@ def infinite_upper_bound(
         )
         return EntropyResult(0.0, CERTIFIED_UPPER, eps), cert
 
-    target = eps * tail_fraction
-    d = _smallest_dim_with_tail_below(tail_at, target, model)
+    target = eps * 2.0 ** (-q.reciprocal())
+    # a complete table always has a cut: its tail vanishes past the end
+    d = last_passing(lambda n: tail_at(n) > target, 0, _DIM_SCAN_CAP) + 1
+    if d > _DIM_SCAN_CAP:
+        raise ScanCapExceeded(
+            f"no dimension up to {_DIM_SCAN_CAP} brings the tail under {target}"
+        )
     ensure_non_increasing(model, d + 1)  # standing assumption of the split
     alpha = tail_at(d)
     if q.is_inf:
@@ -267,25 +265,6 @@ def infinite_upper_bound(
     return EntropyResult(bits, CERTIFIED_UPPER, eps), cert
 
 
-def _smallest_dim_with_tail_below(tail_at, target: float, model) -> int:
-    # A complete finite table always terminates: its tail vanishes past the end.
-    hi = 1
-    while tail_at(hi) > target:
-        hi *= 2
-        if hi > _DIM_SCAN_CAP:
-            raise ScanCapExceeded(
-                f"no dimension below {_DIM_SCAN_CAP} brings the tail under {target}"
-            )
-    lo = hi // 2  # tail_at(lo) > target when lo >= 1
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if tail_at(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 DEFAULT_ROGERS_K = 1024.0
 """Placeholder for the sphere-covering density constant.
 
@@ -313,6 +292,7 @@ def omega_lattice_count(dbar: int, k: int, gamma: float) -> int:
 
 def _mixed_cut(spec: MixedEllipsoidSpec, eps: float) -> int:
     """k with mu_{k+1} <= eps < mu_k."""
+    _check_radius(eps)
     if not axis(spec.semi_axes, 1) > eps:
         raise EntropyError("mixed bounds require eps < mu_1")
     k = 1

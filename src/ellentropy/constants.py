@@ -138,14 +138,14 @@ def zeta(s: float) -> float:
     return head + tail
 
 
-def zeta_series_constant(b: float, certified_width: float = 1e-10) -> float:
+def zeta_series_constant(b: float) -> float:
     """S(b) = sum_{k>=1} log2(1+1/k) k^(-1/b), remainder certified.
 
     The head of the series is summed directly.  The tail is expanded via
     ln(1+1/k) = sum_j (-1)^(j+1) / (j k^j), each inner power sum enclosed
     by its Euler-Maclaurin value plus remainder bound, and the alternating
     truncation bounded by the first omitted term.  The total enclosure
-    width must come out below ``certified_width``.
+    width must come out below 1e-10.
     """
     if not b > 0:
         raise EntropyError(f"series constant requires b > 0, got {b}")
@@ -159,7 +159,7 @@ def zeta_series_constant(b: float, certified_width: float = 1e-10) -> float:
         term, rem = _hurwitz_tail(j + rb, K + 1)
         contrib = term / (j * LN2)
         spread = rem / (j * LN2)
-        if contrib < certified_width / 4.0:
+        if contrib < 1e-10 / 4.0:
             # Alternating series: the dropped part is within +-contrib.
             lo -= contrib + spread
             hi += contrib + spread
@@ -172,6 +172,6 @@ def zeta_series_constant(b: float, certified_width: float = 1e-10) -> float:
             hi -= contrib - spread
         j += 1
 
-    if hi - lo > certified_width:
+    if hi - lo > 1e-10:
         raise EntropyError("tail enclosure wider than the certified target")
     return head + 0.5 * (lo + hi)

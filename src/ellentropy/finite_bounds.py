@@ -29,7 +29,7 @@ from typing import Sequence, Tuple
 
 from .constants import ExponentLike, HolderExponent, as_exponent, volume_ratio
 from .errors import EntropyError, RadiusOutOfRange
-from .numerics import _ceil_ratio, kahan_sum
+from .numerics import _ceil_ratio, _check_radius, kahan_sum
 
 FD1 = "FD1"
 FD2 = "FD2"
@@ -89,8 +89,7 @@ def explicit_kappa(d: int) -> float:
 
 def volume_lower_bound(E: FiniteEllipsoid, q: ExponentLike, eps: float) -> FiniteBound:
     """log2 N(eps) >= d log2(V_{p,q,d} gmean / eps), clipped at 0."""
-    if eps <= 0:
-        raise EntropyError("eps must be positive")
+    _check_radius(eps)
     q = as_exponent(q)
     d = E.dim
     log2_v = math.log2(volume_ratio(E.p, q, d))
@@ -167,8 +166,7 @@ def _density_upper_bound(
 ) -> FiniteBound:
     """``density_upper_bound`` of a block known by its exponent, dimension,
     smallest axis and log2 geometric mean of the axes."""
-    if eps <= 0:
-        raise EntropyError("eps must be positive")
+    _check_radius(eps)
     q = as_exponent(q)
     if d < 3:
         raise EntropyError("density bound requires d >= 3")
@@ -216,8 +214,7 @@ def product_grid_upper_bound(
     and the bits are log2 of the integer product of the counts.  Useful
     fallback at dimensions below the density bound's reach.
     """
-    if eps <= 0:
-        raise EntropyError("eps must be positive")
+    _check_radius(eps)
     rq = as_exponent(q).reciprocal()
     d = len(axes)
     per_axis = eps * d ** (-rq)

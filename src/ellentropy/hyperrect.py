@@ -29,10 +29,9 @@ from typing import List, Sequence, Tuple
 
 from . import constants
 from .errors import EnumerationTooLarge, InvalidModel, ScanCapExceeded, UnboundedCount
-from .numerics import _ceil_ratio, kahan_sum
-from .sequences import SemiAxisModel, axis
+from .numerics import _ceil_ratio, _check_radius, kahan_sum
+from .sequences import AXIS_CAP, SemiAxisModel, axis
 
-_AXIS_CAP = 10**8
 ENUMERATION_CAP = 10**7
 
 Runs = Tuple[Tuple[int, int], ...]
@@ -71,8 +70,7 @@ def _count_runs(model: SemiAxisModel, eps: float) -> Tuple[Runs, int]:
     the last axis with mu_n > (v - 1) eps.  A dimension above the cap
     raises before any run is built.
     """
-    if eps <= 0:
-        raise InvalidModel("eps must be positive")
+    _check_radius(eps)
     feps = Fraction(eps)
     runs: List[Tuple[int, int]] = []
 
@@ -89,10 +87,10 @@ def _count_runs(model: SemiAxisModel, eps: float) -> Tuple[Runs, int]:
     try:
         last = model.last_exceeding(start, feps)
     except UnboundedCount as exc:
-        raise ScanCapExceeded(f"effective dimension beyond the cap {_AXIS_CAP}") from exc
+        raise ScanCapExceeded(f"effective dimension beyond the cap {AXIS_CAP}") from exc
     dim = sum(m for _, m in runs) + last - start + 1
-    if dim > _AXIS_CAP:
-        raise ScanCapExceeded(f"effective dimension {dim} exceeds the cap {_AXIS_CAP}")
+    if dim > AXIS_CAP:
+        raise ScanCapExceeded(f"effective dimension {dim} exceeds the cap {AXIS_CAP}")
     n = start
     while n <= last:
         v = _ceil_ratio(axis(model, n), feps)
@@ -137,9 +135,7 @@ def exact_entropy_counting(model: SemiAxisModel, eps: float) -> float:
     return kahan_sum(terms)
 
 
-def optimal_covering(
-    axes: Sequence[float], eps: float, cap: int = ENUMERATION_CAP
-) -> List[Tuple[float, ...]]:
+def optimal_covering(axes: Sequence[float], eps: float) -> List[Tuple[float, ...]]:
     """The optimal product-grid covering of prod [-mu_i, mu_i] in sup-norm.
 
     Axis i carries m_i = ceil(mu_i/eps) points at -mu_i + (2j-1) mu_i/m_i;
@@ -147,18 +143,17 @@ def optimal_covering(
     hyperrectangle is within eps of a center (closed balls).  The center
     count equals the exact covering number.
     """
-    if eps <= 0:
-        raise InvalidModel("eps must be positive")
+    _check_radius(eps)
     if any(a <= 0 for a in axes):
         raise InvalidModel("axes must be positive")
     feps = Fraction(eps)
     counts = [_ceil_ratio(a, feps) if a > eps else 1 for a in axes]
     total = math.prod(counts)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         # the exact count rides on the exception; render huge ones in log2
         shown = str(total) if total.bit_length() <= 64 else f"2^{math.log2(total):.2f}"
         raise EnumerationTooLarge(
-            f"covering has {shown} centers, above the cap {cap}", count=total
+            f"covering has {shown} centers, above the cap {ENUMERATION_CAP}", count=total
         )
     grids = []
     for a, m in zip(axes, counts):
@@ -171,6 +166,5 @@ def canonical_asymptotic(b: float, c: float, eps: float) -> float:
 
     The remainder is O(log(1/eps)) as eps -> 0.
     """
-    if eps <= 0:
-        raise InvalidModel("eps must be positive")
+    _check_radius(eps)
     return c ** (1.0 / b) * eps ** (-1.0 / b) * constants.zeta_series_constant(b)

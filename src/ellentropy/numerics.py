@@ -1,9 +1,13 @@
-"""Small numeric helpers: compensated summation, intervals, exact ceilings."""
+"""Small numeric helpers: compensated summation, intervals, exact ceilings,
+the radius check."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
+
+from .errors import EntropyError
 
 
 class Interval(NamedTuple):
@@ -48,3 +52,9 @@ def _ceil_ratio(x: float, feps: Fraction) -> int:
     """Exact ceiling of x / eps for eps given as a Fraction (floats are
     exact rationals); an integer ratio keeps its value."""
     return -(-Fraction(x) // feps)
+
+
+def _check_radius(eps: float, name: str = "eps") -> None:
+    """Raise EntropyError unless eps is a positive finite number."""
+    if not (eps > 0 and math.isfinite(eps)):
+        raise EntropyError(f"{name} must be positive and finite, got {eps!r}")

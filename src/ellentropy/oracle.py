@@ -59,6 +59,7 @@ from .finite_bounds import (
     volume_lower_bound,
 )
 from .hyperrect import exact_entropy
+from .numerics import _check_radius
 from .sequences import Tabulated
 
 GRID_POINT_CAP = 10**7
@@ -173,8 +174,7 @@ def _check_instance(E: FiniteEllipsoid, eps: float, resolution: int) -> None:
         raise EntropyError("oracle supports dimensions 1 to 3 only")
     if resolution < 8:
         raise EntropyError("resolution must be at least 8")
-    if not (eps > 0 and math.isfinite(eps)):
-        raise EntropyError("eps must be positive and finite")
+    _check_radius(eps)
 
 
 def _cell_half_widths(E: FiniteEllipsoid, resolution: int) -> np.ndarray:

@@ -36,7 +36,12 @@ from .errors import (
     InvalidModel,
     UnboundedCount,
 )
-from .numerics import Interval, kahan_sum
+from .numerics import Interval, _check_radius, kahan_sum
+
+# Largest effective dimension d* an entry point computes: the exact entropy
+# and the estimator count up to it, and the effective dimension searches
+# up to it.
+AXIS_CAP = 10**8
 
 
 class SemiAxisModel(Protocol):
@@ -57,8 +62,10 @@ class SemiAxisModel(Protocol):
     def axis(self, n: int) -> float:
         """mu_n for an index n >= 1, by direct formula evaluation."""
 
-    def monotone_start(self) -> int:
-        """An index from which the sequence is non-increasing."""
+    def monotone_start(self, e: float = 0.0) -> int:
+        """An index from which n**e mu_n is non-increasing, for e at most
+        the decay index (e = 0: the sequence itself); raises UnboundedCount
+        when n**e mu_n rises for ever."""
 
     def last_exceeding(self, start: int, t: Fraction) -> int:
         """The largest n >= start - 1 with mu_m > t for every m in [start, n].
@@ -225,7 +232,7 @@ class Canonical:
     def axis(self, n: int) -> float:
         return self.c * float(n) ** (-self.b)
 
-    def monotone_start(self) -> int:
+    def monotone_start(self, e: float = 0.0) -> int:
         return 1
 
     def last_exceeding(self, start: int, t: Fraction) -> int:
@@ -309,15 +316,20 @@ class TwoTermPolynomial:
     def axis(self, n: int) -> float:
         return self.c1 * float(n) ** (-self.alpha1) + self.c2 * float(n) ** (-self.alpha2)
 
-    def monotone_start(self) -> int:
-        """Only c2 < 0 can make the law rise: c1 x**-a1 + c2 x**-a2 then
-        peaks at x* = (a2 |c2| / (a1 c1))**(1/(a2 - a1)) and falls past it."""
+    def monotone_start(self, e: float = 0.0) -> int:
+        """Only c2 < 0 can make x**e mu(x) rise: for e < a1,
+        c1 x**(e-a1) + c2 x**(e-a2) then peaks at
+        x* = ((a2 - e) |c2| / ((a1 - e) c1))**(1/(a2 - a1)) and falls past
+        it; at e = a1 it rises towards c1 for ever."""
         if self.c2 >= 0:
             return 1
-        peak = (self.alpha2 * -self.c2 / (self.alpha1 * self.c1)) ** (
-            1.0 / (self.alpha2 - self.alpha1)
-        )
-        return int(peak) + 1
+        if e >= self.alpha1:
+            raise UnboundedCount(f"n**{e} mu_n rises for ever")
+        ratio = (self.alpha2 - e) * -self.c2 / ((self.alpha1 - e) * self.c1)
+        try:
+            return int(ratio ** (1.0 / (self.alpha2 - self.alpha1))) + 1
+        except OverflowError as exc:
+            raise UnboundedCount(f"n**{e} mu_n peaks past the float range") from exc
 
     def last_exceeding(self, start: int, t: Fraction) -> int:
         """A gallop followed by a bisection."""
@@ -473,8 +485,10 @@ class Tabulated:
             raise IndexBeyondTable(f"index {n} beyond table of length {len(self.values)}")
         return self.tail.axis(n)
 
-    def monotone_start(self) -> int:
-        return 1
+    def monotone_start(self, e: float = 0.0) -> int:
+        """For e > 0, n**e may rise inside the table, and the canonical
+        tail c n**(e-b) is non-increasing past it."""
+        return 1 if e <= 0 else len(self.values) + 1
 
     def last_exceeding(self, start: int, t: Fraction) -> int:
         """A bisection in the table, then the tail's closed form."""
@@ -582,8 +596,7 @@ def counting(model: SemiAxisModel, t: float, k: int = 1) -> int:
     its effective dimension at every eps.  The rising head of a two-term
     law is tested axis by axis; past it the index search answers.
     """
-    if t <= 0:
-        raise InvalidModel("threshold t must be positive")
+    _check_radius(t, "threshold t")
     if k < 1:
         raise InvalidModel("k must be >= 1")
     threshold = Fraction(k) * Fraction(t)

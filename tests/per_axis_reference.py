@@ -9,8 +9,8 @@ the oracle the grouped computation is tested against.
 
 Likewise ``log_product`` sums log2 mu_n axis by axis, where the models
 enclose the sum in closed form, and ``effective_dimension`` walks every
-index up to its answer, where the library searches past the monotone
-start.
+index up to its answer (with a stop rule past any table), where the
+library searches past the monotone start.
 """
 
 from __future__ import annotations
@@ -110,13 +110,17 @@ def log_product(model: SemiAxisModel, d: int) -> float:
 SCAN_CAP = 10**8
 
 
-def _largest_index_exceeding(surrogate, eps: float, finite_end: Optional[int]) -> int:
-    """max{d : surrogate(d) > eps} for a unimodal surrogate, 0 if none.
+def _largest_index_exceeding(
+    surrogate, eps: float, finite_end: Optional[int], table: int
+) -> int:
+    """max{d : surrogate(d) > eps}, 0 if none.
 
-    The supported families give surrogates of the form A d^u + B d^v (at
-    most one sign change of the derivative), so once the value sits at or
-    below eps while non-increasing it never recovers.  ``finite_end``
-    bounds the scan for complete finite tables.
+    Past the first ``table`` indices the supported families give
+    surrogates of the form A d^u + B d^v (at most one sign change of the
+    derivative), so once the value sits at or below eps while
+    non-increasing it never recovers.  A table need not be unimodal, so
+    every index inside it is tested.  ``finite_end`` bounds the scan for
+    complete finite tables.
     """
     last = 0
     prev = None
@@ -125,7 +129,7 @@ def _largest_index_exceeding(surrogate, eps: float, finite_end: Optional[int]) -
         val = surrogate(d)
         if val > eps:
             last = d
-        elif prev is not None and val <= prev:
+        elif d > table and prev is not None and val <= prev:
             return last
         prev = val
     if finite_end is not None and end == finite_end:
@@ -145,6 +149,7 @@ def effective_dimension(
         raise EntropyError("eps must be positive")
     rp, rq = as_exponent(p).reciprocal(), as_exponent(q).reciprocal()
     e = rq - rp
+    table = len(model.values) if isinstance(model, Tabulated) else 0
     return _largest_index_exceeding(
-        lambda d: d**e * axis(model, d), eps, model.length
+        lambda d: d**e * axis(model, d), eps, model.length, table
     )

@@ -1,10 +1,11 @@
-"""Closed-form log-products and the searched effective dimension.
+"""Closed-form log-products, the searched effective dimension and the
+searched block cut.
 
 Each model encloses sum_{n <= d} log2 mu_n (in O(1) for canonical laws),
-and ``effective_dimension`` searches past the monotone start where
-1/q - 1/p <= 0.  Both are checked against the per-axis walks in
-``per_axis_reference`` over the golden model grid, and the calls that
-used to walk every axis up to d* are held to a time budget.
+and ``effective_dimension`` searches past the model's monotone start for
+every 1/q - 1/p.  Both are checked against per-axis walks over the golden
+model grid, and the calls that used to walk every axis up to d* are held
+to a time budget.
 """
 
 import itertools
@@ -17,8 +18,9 @@ from test_golden import EXPONENTS, MODELS, RADII
 
 from ellentropy.asymptotics import effective_dimension, entropy_estimator
 from ellentropy.block_decomp import infinite_upper_bound
+from ellentropy.constants import as_exponent
 from ellentropy.errors import EntropyError, ScanCapExceeded
-from ellentropy.sequences import Canonical, cesaro_log_ratio
+from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial, cesaro_log_ratio
 
 INF = math.inf
 CUTS = (1, 2, 3, 10, 41, 100, 10**3, 10**4, 10**5, 10**6)
@@ -45,14 +47,94 @@ def _outcome(fn):
 
 @pytest.mark.parametrize("label", MODELS)
 def test_searched_effective_dimension_equals_the_scan(label):
-    model, _ = MODELS[label]
+    # the golden grid's cells: answers up to about 10^6
+    model, b = MODELS[label]
     for p, q in itertools.product(EXPONENTS, EXPONENTS):
-        if 1 / q - 1 / p > 0:
+        if b is not None and b - (1 / q - 1 / p) < 0.5:
             continue
         for eps in RADII:
             assert _outcome(lambda: effective_dimension(model, p, q, eps)) == _outcome(
                 lambda: ref.effective_dimension(model, p, q, eps)
             ), (label, p, q, eps)
+
+
+# Tables that are not unimodal under d^(1/q-1/p): a plateau times a rising
+# power, alone and continued by a canonical tail.
+TABLES = {
+    "plateau": Tabulated((1.0, 0.5, 0.5, 0.5, 0.5)),
+    "plateau-tail": Tabulated((1.0, 0.5, 0.5, 0.5, 0.5), Canonical(1.0, 2.5)),
+}
+WALK = 5000
+
+
+def test_non_unimodal_tables():
+    # d mu_d = 1, 1, 1.5, 2, 2.5 and sqrt(d) mu_d = 1, .71, .87, 1, 1.12,
+    # 1.02, .94, .88, ... (the tail is 2.5 / sqrt(d) from d = 6 on)
+    assert effective_dimension(TABLES["plateau"], INF, 1, 1.0) == 5
+    assert effective_dimension(TABLES["plateau-tail"], 2, 1, 0.9) == 7
+
+
+@pytest.mark.parametrize("label", [*MODELS, *TABLES])
+def test_effective_dimension_equals_the_walk(label):
+    """The search equals max{d <= WALK : d^e mu_d > eps}, walked with no
+    stop rule, wherever that maximum is below WALK and e = 1/q - 1/p lies
+    below the decay index (at or past it the exact surrogate never falls)."""
+    model = MODELS[label][0] if label in MODELS else TABLES[label]
+    b = model.decay_index
+    end = WALK if model.length is None else min(WALK, model.length)
+    for p, q in itertools.product(EXPONENTS, EXPONENTS):
+        e = as_exponent(q).reciprocal() - as_exponent(p).reciprocal()
+        if b is not None and e >= b:
+            continue
+        values = [d**e * model.axis(d) for d in range(1, end + 1)]
+        for eps in RADII + (0.9, 1.0):
+            walked = max((d for d, v in enumerate(values, 1) if v > eps), default=0)
+            if walked < WALK:
+                assert effective_dimension(model, p, q, eps) == walked, (label, p, q, eps)
+
+
+def test_effective_dimension_at_the_decay_index():
+    # Canonical(0.5, 1) at 1/q - 1/p = 0.5: the surrogate is 1 for every d
+    assert effective_dimension(Canonical(0.5, 1.0), 2, 1, 2.0) == 0
+    with pytest.raises(ScanCapExceeded):
+        effective_dimension(Canonical(0.5, 1.0), 2, 1, 0.5)
+    # 1 - 0.5 d^-0.5 rises towards 1 for ever: no index to search from
+    start = time.perf_counter()
+    for eps in (0.5, 2.0):
+        with pytest.raises(ScanCapExceeded):
+            effective_dimension(TwoTermPolynomial(1.0, -0.5, 0.5, 1.0), 2, 1, eps)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        TwoTermPolynomial(1.0, -0.5, 0.5005, 0.5015),  # peak near d = 1.2e176
+        TwoTermPolynomial(1.0, -0.5, 0.500001, 0.501001),  # peak past the floats
+    ],
+    ids=repr,
+)
+def test_effective_dimension_raises_at_once_on_a_far_peak(model):
+    # at 1/q - 1/p = 0.5 just below alpha1, d^0.5 mu_d rises far past the cap
+    start = time.perf_counter()
+    with pytest.raises(ScanCapExceeded):
+        effective_dimension(model, 2, 1, 0.5)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_effective_dimension_raises_at_once_past_the_cap():
+    # the answer is about 10^10, past the 10^8 cap
+    start = time.perf_counter()
+    with pytest.raises(ScanCapExceeded):
+        effective_dimension(Canonical(1, 1), 2, 1, 1e-5)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_block_cut_reaches_the_dimension_cap():
+    # the tail mu_{d+1} = 1/(d+1) drops to 1e-7 at d = 10^7 - 1, below the
+    # 10^7 cut cap
+    _, cert = infinite_upper_bound(Canonical(1, 1), INF, INF, 1e-7)
+    assert cert.effective_dimension == 9_999_999
 
 
 def test_effective_dimension_raises_at_once_without_an_answer():
@@ -69,10 +151,11 @@ def test_effective_dimension_raises_at_once_without_an_answer():
         (lambda: entropy_estimator(Canonical(1, 1), 1e-6), 0.05),
         (lambda: infinite_upper_bound(Canonical(1, 1), INF, INF, 1e-6), 0.05),
         (lambda: effective_dimension(Canonical(1, 1), 2, 2, 1e-6), 0.05),
+        (lambda: effective_dimension(Canonical(1, 1), 2, 1, 1e-3), 0.05),
         (lambda: cesaro_log_ratio(Canonical(1, 1), 10**6), 0.05),
         (lambda: infinite_upper_bound(Canonical(1, 1), 2, 1, 1e-3), 1.0),
     ],
-    ids=["estimator", "bound-sup-norm", "effdim", "cesaro", "bound-2-1"],
+    ids=["estimator", "bound-sup-norm", "effdim", "effdim-2-1", "cesaro", "bound-2-1"],
 )
 def test_answer_does_not_walk_to_d_star(call, budget):
     start = time.perf_counter()

@@ -172,7 +172,7 @@ class TestOptimalCovering:
 
     def test_cap(self):
         with pytest.raises(EnumerationTooLarge) as exc:
-            optimal_covering([100.0] * 4, 1e-3, cap=10**6)
+            optimal_covering([100.0] * 4, 1e-3)
         assert exc.value.count == 100000**4
 
     def test_every_sampled_point_is_covered(self):

@@ -48,8 +48,8 @@ class Forwarding:
     def axis(self, n):
         return self._model.axis(n)
 
-    def monotone_start(self):
-        return self._model.monotone_start()
+    def monotone_start(self, e=0.0):
+        return self._model.monotone_start(e)
 
     def last_exceeding(self, start, t):
         return self._model.last_exceeding(start, t)
@@ -98,6 +98,7 @@ def test_forwarding_model_gives_the_same_results(model):
             lambda m: entropy_estimator(m, eps),
             lambda m: effective_dimension(m, INF, INF, eps),
             lambda m: effective_dimension(m, 2.0, 2.0, eps),
+            lambda m: effective_dimension(m, 2.0, 1.0, eps),
         ]
         calls += [
             lambda m, p=p, q=q: infinite_upper_bound(m, p, q, eps) for p, q in PAIRS
@@ -116,3 +117,5 @@ def test_forwarding_model_gives_the_same_results(model):
     assert outcome(lambda: ensure_non_increasing(fwd, 50)) == outcome(
         lambda: ensure_non_increasing(model, 50)
     )
+    for e in (-0.5, 0.0, 0.5):
+        assert outcome(lambda: fwd.monotone_start(e)) == outcome(lambda: model.monotone_start(e))
