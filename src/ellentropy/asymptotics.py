@@ -273,10 +273,11 @@ def effective_dimension(
     This is the dimension-selection heuristic for covering at radius eps:
     the surrogate must eventually decay (decay index above 1/q - 1/p).
 
-    Each index before ``model.monotone_start(1/q - 1/p)`` is tested on its
-    own (a table need not be unimodal).  From that start on the surrogate
-    does not rise, so its passing indices form a prefix, found by a gallop
-    and a bisection up to the cap.
+    From ``model.monotone_start(1/q - 1/p)`` on the surrogate does not
+    rise, so its passing indices form a prefix, found by a gallop and a
+    bisection up to the cap.  Before that start, a rising head passes on a
+    suffix, so its last index alone decides; each index of any other head
+    (a table need not be unimodal) is tested on its own.
     """
     _check_radius(eps)
     rp, rq = as_exponent(p).reciprocal(), as_exponent(q).reciprocal()
@@ -299,7 +300,9 @@ def effective_dimension(
         return d**e * axis(model, d) > eps
 
     last = last_passing(passes, start - 1, end)
-    if last < start:
+    if last < start and model.rising_head:
+        last = start - 1 if start > 1 and passes(start - 1) else 0
+    elif last < start:
         last = max((d for d in range(1, start) if passes(d)), default=0)
     if last == AXIS_CAP and last != model.length:
         raise ScanCapExceeded(f"surrogate still above eps at the scan cap {AXIS_CAP}")

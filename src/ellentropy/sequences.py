@@ -15,21 +15,24 @@ supported:
 Each family implements the ``SemiAxisModel`` protocol: the primitives
 every algorithm reads a sequence through.  On top of them the module
 provides the threshold counting function M_k(t) = #{n : mu_n > k*t},
-certified partial log-products (in closed form for canonical laws),
-certified enclosures of tail power sums (through a Hurwitz zeta enclosure
-built on the Euler-Maclaurin formula, so their cost does not grow with the
-cut), and the Cesaro mean of log(mu_n / mu_N).
+certified partial log-products (in closed form for canonical laws; for
+two-term laws past a 1,024-axis head, through a series of finite power
+sums enclosed by the Euler-Maclaurin formula, so neither cost grows with
+d), certified enclosures of tail power sums (through a Hurwitz zeta
+enclosure built on the Euler-Maclaurin formula, so their cost does not
+grow with the cut), and the Cesaro mean of log(mu_n / mu_N).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Protocol
 
-from .constants import LN2, _hurwitz_tail
+from .constants import _EM_WEIGHTS, LN2, _hurwitz_tail
 from .errors import (
     DivergentTail,
     IndexBeyondTable,
@@ -58,6 +61,12 @@ class SemiAxisModel(Protocol):
     @property
     def length(self) -> Optional[int]:
         """Length of a complete table, None for an unbounded model."""
+
+    @property
+    def rising_head(self) -> bool:
+        """Whether n**e mu_n does not fall before ``monotone_start(e)``, so
+        that the indices there passing a threshold form a suffix; False for
+        a table, whose head may take any shape."""
 
     def axis(self, n: int) -> float:
         """mu_n for an index n >= 1, by direct formula evaluation."""
@@ -128,9 +137,10 @@ def _log2_sum(values: Iterable[float], count: int, largest: float, smallest: flo
 # A tail sum stops adding explicit terms once its Euler-Maclaurin
 # remainder is below this fraction of the value.
 _EM_TARGET = 2.0**-46
-# Explicit head terms a two-term tail sum adds before its binomial series.
+# Explicit head terms a two-term tail sum adds before its binomial series,
+# and the axes a two-term log-product sums one by one before its series.
 _HEAD_TERMS = 1024
-# Largest number of binomial-series terms in a two-term tail sum.
+# Largest number of series terms in a two-term tail sum or log-product.
 _SERIES_TERMS = 64
 
 
@@ -212,6 +222,53 @@ def _hurwitz(s: float, a: int, s_err: float) -> Interval:
     return _outward((value - slack) / (1.0 + grow), (value + slack) * (1.0 + grow))
 
 
+def _power_sum(s: float, a: int, b: int, s_err: float) -> Interval:
+    """Certified enclosure of sum_{n=a..b} (n/a)**-s' for every exponent s'
+    within ``s_err`` of the float s > 0, with b >= a >= 1, in O(1).
+
+    The Euler-Maclaurin formula over [a, b], scaled at a, with L = ln(b/a):
+
+        a expm1((1-s) L)/(1-s)  (a L at s = 1)  +  (1 + (b/a)**-s)/2
+          + sum_i w_i s(s+1)...(s+2i) a**(-1-2i) (1 - (a/b)**(s+1+2i)),
+
+    with the weights of ``constants._hurwitz_tail``.  Every even derivative
+    of x**-s is positive, so the first omitted correction bounds the
+    remainder, which is small while s is well below 2 pi a.  The rounding
+    is covered by:
+
+    * L within 2**-52 (1 + L) (the quotient b/a, then the logarithm), which
+      moves the integral by a (b/a)**(1-s) = b (b/a)**-s times that, and
+      (b/a)**-s by s times that, relatively; 2**-50 of the value covers
+      the few roundings of each term and of the sum;
+    * 2**-44 (1 + L)(s + 16) of the corrections' sizes at a: their
+      Pochhammer products and powers of a carry some 30 roundings, and each
+      factor 1 - (a/b)**(s+1+2i) the error of (b/a)**-s times s + 13;
+    * the exponent: the sum's derivative in s' is at most L times the sum.
+    """
+    L = math.log(b / a)
+    z = (1.0 - s) * L
+    integral = a * L if z == 0.0 else a * math.expm1(z) / (1.0 - s)
+    end = math.exp(-s * L)
+    corrections, sizes = [], []
+    shrink = a / b
+    poch, power, ratio = s, 1.0 / a, end * shrink
+    for i, weight in enumerate(_EM_WEIGHTS[:6]):
+        sizes.append(abs(weight) * poch * power)
+        corrections.append(weight * poch * power * (1.0 - ratio))
+        poch *= (s + 2 * i + 1) * (s + 2 * i + 2)
+        power /= a * a
+        ratio *= shrink * shrink
+    rem = abs(_EM_WEIGHTS[6]) * poch * power
+    value = integral + 0.5 * (1.0 + end) + math.fsum(corrections)
+    slack = (
+        rem
+        + 2.0**-50 * (value + (1.0 + L) * (b + s) * end)
+        + 2.0**-44 * (1.0 + L) * (s + 16.0) * math.fsum(sizes)
+    )
+    grow = math.expm1(s_err * L) + 2.0**-52
+    return _outward((value - slack) / (1.0 + grow), (value + slack) * (1.0 + grow))
+
+
 @dataclass(frozen=True)
 class Canonical:
     """mu_n = c * n**-b with b, c > 0."""
@@ -220,6 +277,7 @@ class Canonical:
     c: float
 
     length = None
+    rising_head = True  # the head is empty
 
     def __post_init__(self):
         if not (self.b > 0 and self.c > 0):
@@ -292,6 +350,7 @@ class TwoTermPolynomial:
     alpha2: float
 
     length = None
+    rising_head = True
 
     def __post_init__(self):
         if not (self.c1 > 0 and self.alpha1 > 0 and self.alpha2 > 0):
@@ -425,15 +484,107 @@ class TwoTermPolynomial:
         return Interval(math.fsum(lows) - slack, math.fsum(highs) + slack)
 
     def log_product(self, d: int) -> Interval:
-        """The per-axis sum, in O(d): the two-term law has no closed-form
-        log-product.
+        """The per-axis sum up to ``_HEAD_TERMS`` axes, then in O(1).
 
         Every mu_n lies in [min(mu_1, mu_d), c1 + max(c2, 0)] for n <= d,
-        since the law rises at most once, before falling.
+        since the law rises at most once, before falling; the per-axis sum
+        is ``_log2_sum`` of the float axes.  Past the head, with
+        r = c2/c1, delta = alpha2 - alpha1 and y_n = r n**-delta,
+
+            log2 mu_n = log2(c1 n**-alpha1) + log2(1 + y_n),
+
+        so the sum is the canonical closed form of (alpha1, c1), plus
+        log1p(y_n) / ln 2 summed over the head, plus a series for the axes
+        past it (see ``_split_log_product``).  The per-axis sum stays the
+        fallback where that series does not converge.
         """
+        if d > _HEAD_TERMS:
+            split = self._split_log_product(d)
+            if split is not None:
+                return split
         largest = self.c1 + max(self.c2, 0.0)
         smallest = min(self.axis(1), self.axis(d))
         return _log2_sum(map(self.axis, range(1, d + 1)), d, largest, smallest)
+
+    def _split_log_product(self, d: int) -> Optional[Interval]:
+        """The log-product for d > ``_HEAD_TERMS`` in O(1), or None where
+        the series past the head does not converge within ``_SERIES_TERMS``
+        terms (x >= 1 among them), or a**-delta, at the first index a past
+        the head, is not a normal float.
+
+        With y = r a**-delta and Q_k = sum_{n=a..d} (n/a)**(-k delta)
+        (``_power_sum``), the axes past the head add
+
+            sum_{n=a..d} ln(1 + y_n) = sum_{k>=1} -(-y)**k Q_k / k,
+
+        and x = |y| (1 + 2**-40) bounds every |y_n| there.  Q_k does not
+        grow with k, so the terms past K add up to at most
+        x**(K+1) Q_K / ((K+1)(1 - x)), with Q_0 = d - ``_HEAD_TERMS``; the
+        series stops once that is below 2**-52 of the canonical part, about
+        its last bit, so the midpoint is as close to the sum as the
+        per-axis sum's.
+
+        Besides the canonical part's own, the slack covers:
+
+        * each float y_n, within 2**-53 (4 + 7 delta) relative (the
+          quotient r, the power, its exponent's rounding times ln n, the
+          product), which moves log1p(y_n) by that times |y_n|/(1 + y_n);
+          log1p and fsum, within 2**-51 of the head;
+        * each coefficient (-y)**k / k, within 2**-50 k (1 + delta) of its
+          value, and the float exponent k delta, within 2**-51 of itself;
+        * the float axes: mu_n is within 2**-51 kappa_n of its float, with
+          kappa_n = (1 + |y_n|)/(1 + y_n), which shifts log2 mu_n by up to
+          2**-50 kappa_n.  The canonical part covers 2**-50 per axis; the
+          rest is 2**-49 |y_n|/(1 + y_n) when r < 0, at most
+          2**-49 x/(1 - x) past the head.
+        """
+        r = self.c2 / self.c1
+        delta = self.alpha2 - self.alpha1
+        a = _HEAD_TERMS + 1
+        scale = float(a) ** -delta
+        y = r * scale
+        x = abs(y) * (1.0 + 2.0**-40)
+        # r > -1 exactly (mu_1 > 0), but the quotient may round to -1
+        if not x < 1.0 or scale < sys.float_info.min or r <= -1.0:
+            return None
+        ys = [r * float(n) ** -delta for n in range(1, a)]
+        canon = Canonical(self.alpha1, self.c1).log_product(d)
+        target = 2.0**-52 * max(1.0, abs(canon.mid))
+        head = math.fsum(map(math.log1p, ys))
+        lean = math.fsum(abs(v) / (1.0 + v) for v in ys)
+        lows, highs, size = [], [], 0.0
+        q_hi, power = float(d - _HEAD_TERMS), 1.0
+        for k in range(1, _SERIES_TERMS + 2):
+            rest = x**k * q_hi / (k * (1.0 - x)) * (1.0 + 2.0**-40)
+            if rest <= target:
+                break
+            if k > _SERIES_TERMS:
+                return None
+            power *= -y
+            s = k * delta
+            q = _power_sum(s, a, d, s * 2.0**-51)
+            term = q.scale(-power / k)
+            lows.append(term.lo)
+            highs.append(term.hi)
+            size += k * max(-term.lo, term.hi)
+            q_hi = q.hi
+        series = Interval(math.fsum(lows), math.fsum(highs))
+        # in natural-log units: the head's and the series' rounding, the rest
+        err = (
+            lean * 2.0**-48 * (1.0 + delta)
+            + 2.0**-51 * abs(head)
+            + 2.0**-50 * (1.0 + delta) * size
+            + rest
+        )
+        part = (head + series.mid) / LN2
+        value = canon.mid + part
+        slack = (
+            0.5 * canon.width
+            + (0.5 * series.width + err) / LN2 * (1.0 + 2.0**-50)
+            + 2.0**-50 * (abs(canon.mid) + abs(part))
+            + ((d - _HEAD_TERMS) * 2.0**-49 * x / (1.0 - x) if r < 0 else 0.0)
+        )
+        return Interval(value - slack, value + slack)
 
     def to_json(self) -> dict:
         return {
@@ -456,6 +607,8 @@ class Tabulated:
 
     values: tuple
     tail: Optional[Canonical] = None
+
+    rising_head = False
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)

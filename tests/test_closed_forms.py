@@ -1,17 +1,22 @@
 """Closed-form log-products, the searched effective dimension and the
 searched block cut.
 
-Each model encloses sum_{n <= d} log2 mu_n (in O(1) for canonical laws),
-and ``effective_dimension`` searches past the model's monotone start for
-every 1/q - 1/p.  Both are checked against per-axis walks over the golden
-model grid, and the calls that used to walk every axis up to d* are held
-to a time budget.
+Each model encloses sum_{n <= d} log2 mu_n (in O(1) for canonical laws,
+and past a 1,024-axis head for two-term laws), and ``effective_dimension``
+searches past the model's monotone start for every 1/q - 1/p.  Both are
+checked against per-axis walks over the golden model grid, the two-term
+log-products also against a 40-digit mpmath sum of the exact law, and the
+calls that used to walk every axis up to d* are held to a time budget.
 """
 
+import collections
+import functools
 import itertools
 import math
+import random
 import time
 
+import mpmath
 import per_axis_reference as ref
 import pytest
 from test_golden import EXPONENTS, MODELS, RADII
@@ -23,7 +28,7 @@ from ellentropy.errors import EntropyError, ScanCapExceeded
 from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial, cesaro_log_ratio
 
 INF = math.inf
-CUTS = (1, 2, 3, 10, 41, 100, 10**3, 10**4, 10**5, 10**6)
+CUTS = (1, 2, 3, 10, 41, 100, 10**3, 1024, 1025, 10**4, 10**5, 10**6)
 
 
 @pytest.mark.parametrize("label", MODELS)
@@ -36,6 +41,41 @@ def test_log_product_encloses_the_per_axis_sum(label):
         enclosure = model.log_product(d)
         assert enclosure.lo <= reference <= enclosure.hi, (label, d)
         assert enclosure.width <= 1e-10 * max(1.0, abs(reference)), (label, d)
+
+
+# Two-term laws beyond the golden grid: a large second term at x = 0.0011
+# and 0.038 past the head (through the series), and x = 0.88, where the
+# series would need more than 64 terms (through the per-axis fallback).
+TWO_TERM = {
+    **{label: MODELS[label][0] for label in MODELS if label.startswith("two-term")},
+    "second-dominant": TwoTermPolynomial(1.0, 300.0, 1.2, 3.0),
+    "large-r": TwoTermPolynomial(1.0, 1e4, 1.2, 3.0),
+    "slow-series": TwoTermPolynomial(1.0, 900.0, 1.0, 2.0),
+}
+MP_CUTS = (1024, 1025, 2000, 2 * 10**4)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_log_products(label):
+    """sum_{n <= d} log2 mu_n of the exact law (the floats' exact values)
+    for each d in MP_CUTS, summed term by term at 40 digits."""
+    model = TWO_TERM[label]
+    with mpmath.workdps(40):
+        c1, c2, a1, a2 = (mpmath.mpf(v) for v in (model.c1, model.c2, model.alpha1, model.alpha2))
+        sums, total = {}, mpmath.mpf(0)
+        for n in range(1, max(MP_CUTS) + 1):
+            total += mpmath.log(c1 * mpmath.power(n, -a1) + c2 * mpmath.power(n, -a2))
+            if n in MP_CUTS:
+                sums[n] = total / mpmath.log(2)
+    return sums
+
+
+@pytest.mark.parametrize("label", TWO_TERM)
+def test_two_term_log_product_encloses_the_exact_sum(label):
+    for d, exact in _mp_log_products(label).items():
+        enclosure = TWO_TERM[label].log_product(d)
+        assert mpmath.mpf(enclosure.lo) <= exact <= mpmath.mpf(enclosure.hi), (label, d)
+        assert enclosure.width <= 1e-10 * max(1.0, abs(float(exact))), (label, d)
 
 
 def _outcome(fn):
@@ -91,6 +131,44 @@ def test_effective_dimension_equals_the_walk(label):
             walked = max((d for d, v in enumerate(values, 1) if v > eps), default=0)
             if walked < WALK:
                 assert effective_dimension(model, p, q, eps) == walked, (label, p, q, eps)
+
+
+def test_effective_dimension_tests_only_the_last_head_index():
+    # d^0.5 mu_d peaks near d = 1.4e6 below 0.9: the rising head before it
+    # passes nowhere, which its last index alone shows
+    start = time.perf_counter()
+    assert effective_dimension(TwoTermPolynomial(1.0, -0.5, 0.515, 0.6), 2, 1, 0.9) == 0
+    assert time.perf_counter() - start < 0.05
+
+
+def test_effective_dimension_equals_the_walk_on_rising_heads():
+    """Random laws with c2 < 0 whose d^e mu_d, at a grid exponent e > 0,
+    peaks at a random index up to 10^4: the search equals
+    max{d <= 20,000 : d^e mu_d > eps} wherever that maximum is below
+    20,000.  The radii sit near random values of the surrogate and between
+    its values at the last head index and the monotone start."""
+    rng = random.Random(11)
+    walk, found = 20_000, collections.Counter()
+    pairs = [(p, q) for p, q in itertools.product(EXPONENTS, EXPONENTS) if 1 / q > 1 / p]
+    for _ in range(40):
+        p, q = rng.choice(pairs)
+        e = as_exponent(q).reciprocal() - as_exponent(p).reciprocal()
+        delta, u, peak = rng.uniform(0.05, 1.0), rng.uniform(0.05, 0.95), 10 ** rng.uniform(0.5, 4)
+        # the peak of d^e (c1 d^-a1 - u c1 d^-a2) lies at peak for this a1
+        a1 = e + delta / (peak**delta / u - 1.0)
+        c1 = rng.uniform(0.5, 2.0)
+        model = TwoTermPolynomial(c1, -u * c1, a1, a1 + delta)
+        start = model.monotone_start(e)
+        values = [d**e * model.axis(d) for d in range(1, walk + 1)]
+        picks = [int(10 ** rng.uniform(0, 4.3)) - 1 for _ in range(4)]
+        radii = [values[i] * rng.uniform(0.99, 1.01) for i in picks]
+        radii.append(0.5 * (values[start - 2] + values[start - 1]))
+        for eps in radii:
+            walked = max((d for d, v in enumerate(values, 1) if v > eps), default=0)
+            if walked < walk:
+                assert effective_dimension(model, p, q, eps) == walked, (model, p, q, eps)
+                found["none" if walked == 0 else "head" if walked < start else "tail"] += 1
+    assert min(found["none"], found["head"], found["tail"]) >= 5, found
 
 
 def test_effective_dimension_at_the_decay_index():
@@ -154,8 +232,23 @@ def test_effective_dimension_raises_at_once_without_an_answer():
         (lambda: effective_dimension(Canonical(1, 1), 2, 1, 1e-3), 0.05),
         (lambda: cesaro_log_ratio(Canonical(1, 1), 10**6), 0.05),
         (lambda: infinite_upper_bound(Canonical(1, 1), 2, 1, 1e-3), 1.0),
+        (lambda: entropy_estimator(TwoTermPolynomial(1, 1, 1, 1.25), 1e-6), 0.05),
+        (lambda: infinite_upper_bound(TwoTermPolynomial(1, 1, 1, 1.25), INF, INF, 1e-6), 0.05),
+        (lambda: cesaro_log_ratio(TwoTermPolynomial(1, 1, 1, 1.25), 10**6), 0.05),
+        (lambda: TwoTermPolynomial(1, 1, 1, 1.25).log_product(10**6), 0.05),
     ],
-    ids=["estimator", "bound-sup-norm", "effdim", "effdim-2-1", "cesaro", "bound-2-1"],
+    ids=[
+        "estimator",
+        "bound-sup-norm",
+        "effdim",
+        "effdim-2-1",
+        "cesaro",
+        "bound-2-1",
+        "two-term-estimator",
+        "two-term-bound-sup-norm",
+        "two-term-cesaro",
+        "two-term-log-product",
+    ],
 )
 def test_answer_does_not_walk_to_d_star(call, budget):
     start = time.perf_counter()

@@ -1,4 +1,4 @@
-"""The algorithms read a model only through the seven protocol members.
+"""The algorithms read a model only through the eight protocol members.
 
 ``Forwarding`` wraps a model of any family and exposes nothing but those
 members; it is not a subclass of any family.  Every entry point must give
@@ -44,6 +44,10 @@ class Forwarding:
     @property
     def length(self):
         return self._model.length
+
+    @property
+    def rising_head(self):
+        return self._model.rising_head
 
     def axis(self, n):
         return self._model.axis(n)
