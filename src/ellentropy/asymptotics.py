@@ -36,8 +36,8 @@ from .errors import (
     UnboundedCount,
     UnsupportedCorner,
 )
-from .numerics import _check_radius, kahan_sum
-from .sequences import AXIS_CAP, SemiAxisModel, axis, last_passing
+from .numerics import Threshold, _check_radius, kahan_sum
+from .sequences import AXIS_CAP, SemiAxisModel, _passing_head, axis, last_passing
 
 NONCOMPACT_A = "NonCompact_a"
 NONCOMPACT_B = "NonCompact_b"
@@ -246,18 +246,21 @@ def entropy_estimator(model: SemiAxisModel, eps: float) -> float:
 
     Reproduces the p = q = 2 asymptotic orders; the reference level eps
     (instead of mu_{d*}) changes the value by O(1) only.  d* comes from
-    the search ``counting`` uses: the head before the monotone start axis
-    by axis, then the model's index search.  The sum is the midpoint of
-    the model's log-product enclosure minus d* log2 eps.
+    the searches ``counting`` uses: the model's index search from the
+    monotone start, and when nothing passes there, the passing head (one
+    search on a rising head).  The sum is the midpoint of the model's
+    log-product enclosure minus d* log2 eps.
     """
     _check_radius(eps)
+    one = Threshold(1, eps)
     start = model.monotone_start()
     try:
-        d_star = model.last_exceeding(start, Fraction(eps))
+        d_star = model.last_exceeding(start, one)
     except UnboundedCount as exc:
         raise ScanCapExceeded(f"d* is beyond the scan cap {AXIS_CAP}") from exc
     if d_star < start:
-        d_star = max((n for n in range(1, start) if axis(model, n) > eps), default=0)
+        head = _passing_head(model, start, one)
+        d_star = head[-1].stop - 1 if head else 0
     if d_star >= AXIS_CAP:
         raise ScanCapExceeded(f"d* = {d_star} reaches the scan cap {AXIS_CAP}")
     if d_star == 0:

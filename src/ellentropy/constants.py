@@ -89,7 +89,7 @@ def unit_ball_log_volume(p: ExponentLike, d: int) -> float:
     if d < 1:
         raise EntropyError("dimension must be >= 1")
     rp = as_exponent(p).reciprocal()
-    return d * (math.log(2.0) + math.lgamma(1.0 + rp)) - math.lgamma(1.0 + d * rp)
+    return d * (LN2 + math.lgamma(1.0 + rp)) - math.lgamma(1.0 + d * rp)
 
 
 def volume_ratio(p: ExponentLike, q: ExponentLike, d: int) -> float:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .constants import ExponentLike, HolderExponent, as_exponent, volume_ratio
@@ -220,5 +219,4 @@ def product_grid_upper_bound(
     per_axis = eps * d ** (-rq)
     if rq:
         per_axis = math.nextafter(per_axis, 0.0)
-    fr = Fraction(per_axis)
-    return math.log2(math.prod(_ceil_ratio(a, fr) for a in axes))
+    return math.log2(math.prod(_ceil_ratio(a, per_axis) for a in axes))

@@ -11,11 +11,15 @@ counting-function form
     H(eps) = sum_k log2(1 + 1/k) * M_k(eps),   M_k(t) = #{n : mu_n > k t}.
 
 Both routes are driven by the exact rational ratios mu_n / eps (floats are
-exact rationals).  The per-axis counts take few distinct values, so they
-are computed as runs: at each axis the count v is taken once, and the
-index search of ``sequences`` jumps to the last axis whose count is still
-v.  The work is one search per distinct count; head axes, whose counts all
-differ, cost one step each.
+exact rationals), decided in float arithmetic wherever that is exact (see
+``numerics.Threshold`` and ``numerics._ceil_ratio``).  The per-axis counts
+take few distinct values, so they are computed as runs: at each axis the
+count v is taken once, and an index search jumps to the last axis whose
+count is still v.  The work is one search per distinct count, in a rising
+head as past it.  ``bits`` is log2 of the exact product, rounded as
+``math.log2`` rounds it, but taken from two 192-bit products that enclose
+it; the full integer is built only for ``exact_product`` or when those
+two cannot decide the rounding.
 """
 
 from __future__ import annotations
@@ -24,13 +28,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import constants
 from .errors import EnumerationTooLarge, InvalidModel, ScanCapExceeded, UnboundedCount
-from .numerics import _ceil_ratio, _check_radius, kahan_sum
-from .sequences import AXIS_CAP, SemiAxisModel, axis
+from .numerics import Threshold, _ceil_ratio, _check_radius, kahan_sum
+from .sequences import AXIS_CAP, SemiAxisModel, _above, _passing_head, axis, last_passing
 
 ENUMERATION_CAP = 10**7
 
@@ -66,12 +69,23 @@ def _count_runs(model: SemiAxisModel, eps: float) -> Tuple[Runs, int]:
     """The runs of counts ceil(mu_n/eps) > 1 in axis order, and their total
     multiplicity (the effective dimension).
 
-    A rising two-term head is taken axis by axis; past it each run ends at
-    the last axis with mu_n > (v - 1) eps.  A dimension above the cap
-    raises before any run is built.
+    The axes with mu_n > eps are the passing head and a prefix of the rest;
+    their number is checked against the cap before any run is built.  On
+    a stretch where mu_n does not fall, a run of count v ends at the last
+    axis with mu_n <= v eps; past the head, at the last axis with
+    mu_n > (v - 1) eps.
     """
     _check_radius(eps)
-    feps = Fraction(eps)
+    one = Threshold(1, eps)
+    start = model.monotone_start()
+    try:
+        last = model.last_exceeding(start, one)
+    except UnboundedCount as exc:
+        raise ScanCapExceeded(f"effective dimension beyond the cap {AXIS_CAP}") from exc
+    head = _passing_head(model, start, one)
+    dim = sum(r.stop - r.start for r in head) + last - start + 1
+    if dim > AXIS_CAP:
+        raise ScanCapExceeded(f"effective dimension {dim} exceeds the cap {AXIS_CAP}")
     runs: List[Tuple[int, int]] = []
 
     def add(v: int, m: int) -> None:
@@ -79,22 +93,18 @@ def _count_runs(model: SemiAxisModel, eps: float) -> Tuple[Runs, int]:
             m += runs.pop()[1]
         runs.append((v, m))
 
-    start = model.monotone_start()
-    for n in range(1, start):
-        v = _ceil_ratio(axis(model, n), feps)
-        if v > 1:
-            add(v, 1)
-    try:
-        last = model.last_exceeding(start, feps)
-    except UnboundedCount as exc:
-        raise ScanCapExceeded(f"effective dimension beyond the cap {AXIS_CAP}") from exc
-    dim = sum(m for _, m in runs) + last - start + 1
-    if dim > AXIS_CAP:
-        raise ScanCapExceeded(f"effective dimension {dim} exceeds the cap {AXIS_CAP}")
+    for stretch in head:
+        n = stretch.start
+        while n < stretch.stop:
+            v = _ceil_ratio(axis(model, n), eps)
+            t = Threshold(v, eps)
+            end = last_passing(lambda m: not _above(model, m, t), n, stretch.stop - 1)
+            add(v, end - n + 1)
+            n = end + 1
     n = start
     while n <= last:
-        v = _ceil_ratio(axis(model, n), feps)
-        end = model.last_exceeding(n + 1, (v - 1) * feps)
+        v = _ceil_ratio(axis(model, n), eps)
+        end = model.last_exceeding(n + 1, Threshold(v - 1, eps))
         add(v, end - n + 1)
         n = end + 1
     return tuple(runs), dim
@@ -108,12 +118,101 @@ def _run_product(runs: Runs) -> int:
     return factors[0]
 
 
+# Bits kept by the directed products of ``_directed_log2``; the largest
+# run power (in bits) taken exactly; the size of an exact partial product
+# that is multiplied in.
+_PRODUCT_BITS = 192
+_EXACT_BITS = 2**14
+_FOLD_BITS = 1024
+
+
+def _cut(m: int, e: int, up: bool) -> Tuple[int, int]:
+    """m * 2**e with m cut to ``_PRODUCT_BITS`` bits, rounded down or up."""
+    s = m.bit_length() - _PRODUCT_BITS
+    if s <= 0:
+        return m, e
+    return (-(-m >> s) if up else m >> s), e + s
+
+
+def _power(v: int, m: int, up: bool) -> Tuple[int, int]:
+    """v**m rounded down or up to ``_PRODUCT_BITS`` bits, as (mantissa,
+    exponent), by binary powering that rounds every product the same way."""
+    base, be = _cut(v, 0, up)
+    acc, ae = 1, 0
+    while True:
+        if m & 1:
+            acc, ae = _cut(acc * base, ae + be, up)
+        m >>= 1
+        if not m:
+            return acc, ae
+        base, be = _cut(base * base, 2 * be, up)
+
+
+def _round53(m: int, e: int) -> Tuple[int, int]:
+    """m * 2**e rounded to 53 bits, ties to even, as (mantissa, exponent)."""
+    s = m.bit_length() - 53
+    if s <= 0:
+        return m, e
+    q, r = m >> s, m & ((1 << s) - 1)
+    half = 1 << (s - 1)
+    if r > half or (r == half and q & 1):
+        q += 1
+        if q >> 53:
+            q, s = q >> 1, s + 1
+    return q, e + s
+
+
+def _directed_log2(runs: Runs) -> Optional[float]:
+    """math.log2 of prod v**m over the runs without the full product, or
+    None when the enclosure below cannot decide it.
+
+    Two products enclose the exact one.  Run powers of at most
+    ``_EXACT_BITS`` bits are multiplied exactly, and the partial product is
+    folded in once it passes ``_FOLD_BITS`` bits; larger powers come from
+    ``_power``.  After each fold both products are cut to
+    ``_PRODUCT_BITS`` bits, one rounding down and the other up.
+
+    CPython's log2 of a positive int rounds it to 53 bits, ties to even;
+    below 2**1024 it takes log2 of that float, and from 2**1024 on log2 of
+    its mantissa in [1/2, 1) plus its exponent.  Rounding is monotone, so
+    when both ends round alike the exact product rounds the same way, and
+    the same steps give its log2.
+    """
+    lo, le, hi, he = 1, 0, 1, 0
+    exact = 1
+    for v, m in runs:
+        if m * v.bit_length() <= _EXACT_BITS:
+            exact *= v**m
+            if exact.bit_length() <= _FOLD_BITS:
+                continue
+        else:
+            a, ae = _power(v, m, False)
+            b, be = _power(v, m, True)
+            lo, le, hi, he = lo * a, le + ae, hi * b, he + be
+        lo, le = _cut(lo * exact, le, False)
+        hi, he = _cut(hi * exact, he, True)
+        exact = 1
+    rounded = _round53(lo * exact, le)
+    if rounded != _round53(hi * exact, he):
+        return None
+    q, e = rounded
+    if q.bit_length() + e <= 1024:
+        return math.log2(math.ldexp(q, e))
+    return math.log2(math.ldexp(q, -53)) + (e + 53)
+
+
 def exact_entropy(model: SemiAxisModel, eps: float) -> HyperrectEntropy:
-    """Exact sup-norm entropy; the axis product is accumulated as a big
-    integer before taking the log, so the bits value is exact up to one
-    float rounding."""
+    """Exact sup-norm entropy: the runs of per-axis counts, and ``bits``,
+    equal bit for bit to math.log2 of their exact integer product.
+
+    The bits come from the 192-bit directed products of ``_directed_log2``;
+    only when those cannot decide the rounding is the full product built.
+    """
     runs, dim = _count_runs(model, eps)
-    return HyperrectEntropy(bits=math.log2(_run_product(runs)), count_runs=runs, effective_dim=dim)
+    bits = _directed_log2(runs)
+    if bits is None:
+        bits = math.log2(_run_product(runs))
+    return HyperrectEntropy(bits=bits, count_runs=runs, effective_dim=dim)
 
 
 def exact_entropy_counting(model: SemiAxisModel, eps: float) -> float:
@@ -146,8 +245,7 @@ def optimal_covering(axes: Sequence[float], eps: float) -> List[Tuple[float, ...
     _check_radius(eps)
     if any(a <= 0 for a in axes):
         raise InvalidModel("axes must be positive")
-    feps = Fraction(eps)
-    counts = [_ceil_ratio(a, feps) if a > eps else 1 for a in axes]
+    counts = [_ceil_ratio(a, eps) if a > eps else 1 for a in axes]
     total = math.prod(counts)
     if total > ENUMERATION_CAP:
         # the exact count rides on the exception; render huge ones in log2

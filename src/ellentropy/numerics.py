@@ -1,5 +1,5 @@
-"""Small numeric helpers: compensated summation, intervals, exact ceilings,
-the radius check."""
+"""Small numeric helpers: compensated summation, intervals, exact threshold
+tests and ceilings, the radius check."""
 
 from __future__ import annotations
 
@@ -48,10 +48,52 @@ def kahan_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _ceil_ratio(x: float, feps: Fraction) -> int:
-    """Exact ceiling of x / eps for eps given as a Fraction (floats are
-    exact rationals); an integer ratio keeps its value."""
-    return -(-Fraction(x) // feps)
+class Threshold:
+    """The exact rational k * eps, for an integer k >= 1 and a float eps > 0.
+
+    ``near`` is its correctly rounded float (inf past the float range).  No
+    float lies strictly between k * eps and ``near``, so a float x other
+    than ``near`` lies on the same side of both: ``below`` compares floats
+    and settles only a tie x == near with exact rationals.
+    """
+
+    __slots__ = ("k", "eps", "near")
+
+    def __init__(self, k: int, eps: float):
+        self.k = k
+        self.eps = eps
+        if k < 2**53:
+            # k converts exactly, so the product is rounded once
+            self.near = k * eps
+        else:
+            try:
+                self.near = float(Fraction(k) * Fraction(eps))
+            except OverflowError:
+                self.near = math.inf
+
+    def below(self, x: float) -> bool:
+        """Whether k * eps < x, exactly."""
+        near = self.near
+        if x != near:
+            return x > near
+        return x == math.inf or Fraction(x) > Fraction(self.k) * Fraction(self.eps)
+
+
+def _ceil_ratio(x: float, eps: float) -> int:
+    """Exact ceiling of x / eps (floats are exact rationals); an integer
+    ratio keeps its value.
+
+    The float quotient is the correctly rounded ratio, and every integer
+    below 2**53 is a float, so a quotient there that is not an integer lies
+    strictly between the same two integers as the ratio.  Other quotients
+    are settled with exact rationals.
+    """
+    q = x / eps
+    if q < 2.0**53:
+        n = math.ceil(q)
+        if n != q:
+            return n
+    return -(-Fraction(x) // Fraction(eps))
 
 
 def _check_radius(eps: float, name: str = "eps") -> None:

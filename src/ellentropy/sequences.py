@@ -29,8 +29,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Iterable, List, Optional, Protocol
 
 from .constants import _EM_WEIGHTS, LN2, _hurwitz_tail
 from .errors import (
@@ -39,7 +38,7 @@ from .errors import (
     InvalidModel,
     UnboundedCount,
 )
-from .numerics import Interval, _check_radius, kahan_sum
+from .numerics import Interval, Threshold, _check_radius, kahan_sum
 
 # Largest effective dimension d* an entry point computes: the exact entropy
 # and the estimator count up to it, and the effective dimension searches
@@ -76,7 +75,7 @@ class SemiAxisModel(Protocol):
         the decay index (e = 0: the sequence itself); raises UnboundedCount
         when n**e mu_n rises for ever."""
 
-    def last_exceeding(self, start: int, t: Fraction) -> int:
+    def last_exceeding(self, start: int, t: Threshold) -> int:
         """The largest n >= start - 1 with mu_m > t for every m in [start, n].
 
         ``start`` must lie on the non-increasing part of the sequence (see
@@ -93,10 +92,23 @@ class SemiAxisModel(Protocol):
         """Certified enclosure of sum_{n <= d} log2 mu_n for d >= 1."""
 
 
-def _above(model: SemiAxisModel, n: int, t: Fraction) -> bool:
+def _above(model: SemiAxisModel, n: int, t: Threshold) -> bool:
     """The membership test mu_n > t: the float mu_n, compared exactly
     (floats are exact rationals), with no tolerance either way."""
-    return Fraction(model.axis(n)) > t
+    return t.below(model.axis(n))
+
+
+def _passing_head(model: SemiAxisModel, start: int, t: Threshold) -> List[range]:
+    """The indices n < start with mu_n > t, as ranges of consecutive
+    indices on which mu_n does not fall.
+
+    A rising head passes on a suffix, one range found by one index search;
+    each passing index of any other head is tested, and is its own range.
+    """
+    if model.rising_head:
+        first = last_passing(lambda n: not _above(model, n, t), 0, start - 1) + 1
+        return [range(first, start)] if first < start else []
+    return [range(n, n + 1) for n in range(1, start) if _above(model, n, t)]
 
 
 def last_passing(passes: Callable[[int], bool], lo: int, hi: Optional[int] = None) -> int:
@@ -293,10 +305,10 @@ class Canonical:
     def monotone_start(self, e: float = 0.0) -> int:
         return 1
 
-    def last_exceeding(self, start: int, t: Fraction) -> int:
+    def last_exceeding(self, start: int, t: Threshold) -> int:
         """Closed form, then O(1) exact corrections of its float drift."""
         try:
-            x = (self.c / float(t)) ** (1.0 / self.b)
+            x = (self.c / t.near) ** (1.0 / self.b)
         except OverflowError:
             x = math.inf
         if not math.isfinite(x):
@@ -390,7 +402,7 @@ class TwoTermPolynomial:
         except OverflowError as exc:
             raise UnboundedCount(f"n**{e} mu_n peaks past the float range") from exc
 
-    def last_exceeding(self, start: int, t: Fraction) -> int:
+    def last_exceeding(self, start: int, t: Threshold) -> int:
         """A gallop followed by a bisection."""
         return last_passing(lambda n: _above(self, n, t), start - 1)
 
@@ -643,12 +655,12 @@ class Tabulated:
         tail c n**(e-b) is non-increasing past it."""
         return 1 if e <= 0 else len(self.values) + 1
 
-    def last_exceeding(self, start: int, t: Fraction) -> int:
+    def last_exceeding(self, start: int, t: Threshold) -> int:
         """A bisection in the table, then the tail's closed form."""
         L = len(self.values)
         # the first failing 0-based position is the last passing 1-based index
         last = bisect.bisect_left(
-            self.values, True, lo=min(start - 1, L), key=lambda v: Fraction(v) <= t
+            self.values, True, lo=min(start - 1, L), key=lambda v: not t.below(v)
         )
         if last < L or self.tail is None:
             return last
@@ -746,15 +758,16 @@ def counting(model: SemiAxisModel, t: float, k: int = 1) -> int:
     """M_k(t) = #{n : mu_n > k*t}, with strict inequality.
 
     The test is the one ``hyperrect.exact_entropy`` uses, so M_1(eps) is
-    its effective dimension at every eps.  The rising head of a two-term
-    law is tested axis by axis; past it the index search answers.
+    its effective dimension at every eps.  A rising head passes on a
+    suffix, found by one index search (any other head is tested axis by
+    axis); past the head the model's index search answers.
     """
     _check_radius(t, "threshold t")
     if k < 1:
         raise InvalidModel("k must be >= 1")
-    threshold = Fraction(k) * Fraction(t)
+    threshold = Threshold(k, t)
     start = model.monotone_start()
-    head = sum(1 for n in range(1, start) if _above(model, n, threshold))
+    head = sum(r.stop - r.start for r in _passing_head(model, start, threshold))
     return head + model.last_exceeding(start, threshold) - (start - 1)
 
 

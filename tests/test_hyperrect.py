@@ -1,21 +1,39 @@
 import math
+import os
+import random
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ellentropy
 from ellentropy.constants import zeta_series_constant
 from ellentropy.errors import EnumerationTooLarge, ScanCapExceeded
 from ellentropy.hyperrect import (
+    _directed_log2,
+    _round53,
+    _run_product,
     canonical_asymptotic,
     exact_entropy,
     exact_entropy_counting,
     optimal_covering,
 )
-from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial, axis, counting
+from ellentropy.sequences import (
+    Canonical,
+    Tabulated,
+    TwoTermPolynomial,
+    axis,
+    counting,
+    last_passing,
+)
+from test_golden import MODELS, RADII
 
 import per_axis_reference as reference
 
@@ -121,6 +139,199 @@ class TestPerAxisReference:
         assert r.effective_dim == len(counts) == counting(model, eps)
         assert all(a[0] != b[0] for a, b in zip(r.count_runs, r.count_runs[1:]))
         assert exact_entropy_counting(model, eps) == pytest.approx(r.bits, rel=1e-12, abs=1e-12)
+
+
+class Tent:
+    """A law known only through the protocol: a rising head mu_n = n/start
+    for n < start, then (start/n)**8 from start on.  ``calls`` counts the
+    axis evaluations; past ``budget`` of them the law raises, so that a walk
+    over a long head fails instead of running on."""
+
+    decay_index = 8.0
+    length = None
+    rising_head = True
+
+    def __init__(self, start, budget=math.inf):
+        self.start = start
+        self.budget = budget
+        self.calls = 0
+
+    def axis(self, n):
+        self.calls += 1
+        if self.calls > self.budget:
+            raise RuntimeError(f"more than {self.budget} axis evaluations")
+        return n / self.start if n < self.start else (self.start / n) ** 8
+
+    def monotone_start(self, e=0.0):
+        return self.start
+
+    def last_exceeding(self, start, t):
+        return last_passing(lambda n: t.below(self.axis(n)), start - 1)
+
+
+class TestRisingHead:
+    @pytest.mark.parametrize("eps", [0.3, 0.05, 0.001, 0.9, 1.0])
+    def test_searched_head_runs_match_the_per_axis_loop(self, eps):
+        model = Tent(20_000)
+        r = exact_entropy(model, eps)
+        counts = reference.per_axis_counts(model, eps)
+        assert r.per_axis_counts == counts
+        assert r.bits.hex() == (0.0 if not counts else math.log2(math.prod(counts))).hex()
+        assert all(a[0] != b[0] for a, b in zip(r.count_runs, r.count_runs[1:]))
+        for k in (1, 2, 7):
+            assert counting(model, eps, k) == sum(c > k for c in counts)
+
+    def test_head_runs_are_searched(self):
+        # a head of 10**6 axes in three runs, and a tail of four
+        model = Tent(10**6, budget=500)
+        r = exact_entropy(model, 0.3)
+        assert [v for v, _ in r.count_runs] == [2, 3, 4, 3, 2]
+        tail = sum((10**6 / n) ** 8 > 0.3 for n in range(10**6, 1_200_000))
+        assert r.effective_dim == counting(model, 0.3) == 10**6 - 300_001 + tail
+
+    def test_cap_is_checked_before_any_head_run(self):
+        with pytest.raises(ScanCapExceeded):
+            exact_entropy(Tent(10**9, budget=500), 0.01)
+
+    def test_far_peak_two_term_law_returns_at_once(self):
+        # TwoTermPolynomial(1, -0.9, 0.01, 0.05) rises up to its monotone
+        # start near 2.1e16; a walk over that head never returns, so the
+        # calls run in a child process that a timeout stops
+        src = str(Path(ellentropy.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = textwrap.dedent(
+            """
+            from ellentropy.asymptotics import entropy_estimator
+            from ellentropy.errors import ScanCapExceeded
+            from ellentropy.hyperrect import exact_entropy, exact_entropy_counting
+            from ellentropy.sequences import TwoTermPolynomial, counting
+
+            m = TwoTermPolynomial(1.0, -0.9, 0.01, 0.05)
+            start = m.monotone_start()
+            assert start > 10**16
+            n = counting(m, 0.05)
+            assert n > 10**100 and m.axis(n) > 0.05 >= m.axis(n + 1)
+            assert counting(m, 0.05, 3) < n
+            for f in (exact_entropy, exact_entropy_counting, entropy_estimator):
+                try:
+                    f(m, 0.05)
+                except ScanCapExceeded:
+                    pass
+                else:
+                    raise AssertionError(f)
+            # above every axis: nothing passes, in the head or past it
+            assert m.axis(start - 1) < 0.6
+            assert counting(m, 0.6) == 0 and entropy_estimator(m, 0.6) == 0.0
+            assert exact_entropy(m, 0.6).effective_dim == 0
+            """
+        )
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+            timeout=20,
+        )
+
+
+class TestDirectedProduct:
+    def test_bits_equal_log2_of_the_product_on_the_golden_grid(self):
+        checked = 0
+        for model, _ in MODELS.values():
+            for eps in RADII:
+                r = exact_entropy(model, eps)
+                assert r.bits.hex() == math.log2(r.exact_product()).hex(), (model, eps)
+                checked += _directed_log2(r.count_runs) is not None
+        assert checked == len(MODELS) * len(RADII)
+
+    def test_fallback_near_the_rounding_boundary(self):
+        """Random runs times one last count that puts the product within a
+        small fraction of a 53-bit midpoint: the directed ends straddle it,
+        and exact_entropy's fallback is needed."""
+        rng = random.Random(12)
+        undecided = 0
+        for _ in range(100):
+            runs = [(rng.randint(2, 10**6), rng.randint(1, 3000)) for _ in range(rng.randint(1, 6))]
+            head = _run_product(runs)
+            size = head.bit_length() + 250 + rng.randint(0, 900)
+            # an odd multiple of half an ulp at 53 bits: a tie between floats
+            midpoint = (2 * rng.randrange(2**52, 2**53) + 1) << (size - 54)
+            last = midpoint // head + rng.choice((0, 1))
+            runs.append((last, 1))
+            exact = math.log2(_run_product(runs))
+            bits = _directed_log2(runs)
+            assert bits is None or bits.hex() == exact.hex(), runs
+            undecided += bits is None
+        assert undecided >= 75
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            ((2, 1023),),  # 2**1023: the float path
+            ((2, 1023), (3, 1)),  # 1.5 * 2**1024: past the float range
+            ((2**1024 - 1, 1),),  # rounds up to 2**1024
+            ((2**1024 - 2**970, 1),),  # the largest float
+            ((2**1024 - 2**970 + 1, 1),),
+            ((3, 646),),  # just below 2**1024
+            ((3, 647),),  # just above it
+            ((7, 364), (5, 3)),
+            ((2, 40_000), (3, 20_001)),  # binary powering on both sides
+            ((10**6 + 3, 20_000),),
+        ],
+    )
+    def test_both_sides_of_the_float_range(self, runs):
+        exact = math.log2(_run_product(runs))
+        assert _directed_log2(runs).hex() == exact.hex()
+
+    def test_round53_matches_float_conversion(self):
+        # CPython converts an int to float with one rounding, ties to even;
+        # past the float range the reference is scaled down exactly first
+        rng = random.Random(3)
+        for _ in range(3000):
+            bits = rng.randint(1, 1200)
+            p = rng.getrandbits(bits) | (1 << (bits - 1))
+            if bits > 54 and rng.random() < 0.5:
+                p = ((p >> (bits - 54)) | 1) << (bits - 54)  # a tie at 53 bits
+            q, e = _round53(p, 0)
+            shift = max(0, bits - 1000)
+            assert math.ldexp(q, e - shift) == float(Fraction(p, 2**shift)), p
+
+    def test_log2_matches_cpython_at_the_float_range(self):
+        # just below 2**1024 CPython takes log2 of the float, from 2**1024 on
+        # log2 of the mantissa plus the exponent; the two differ in the last
+        # bit for a few products in a thousand
+        rng = random.Random(4)
+        for _ in range(20_000):
+            bits = 1024 if rng.random() < 0.5 else rng.randint(1025, 1100)
+            p = rng.getrandbits(bits) | (1 << (bits - 1))
+            assert _directed_log2(((p, 1),)) == math.log2(p), p
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(st.integers(2, 2**70), st.integers(1, 3000)), min_size=1, max_size=8
+        )
+    )
+    def test_random_runs(self, runs):
+        bits = _directed_log2(runs)
+        assert bits is None or bits.hex() == math.log2(_run_product(runs)).hex()
+
+    def test_deep_canonical_product_is_not_built(self):
+        # Canonical(0.7, 1) at 1e-4 has d* near 5.2e5
+        runs = exact_entropy(Canonical(0.7, 1.0), 1e-4).count_runs
+        assert sum(m for _, m in runs) == 517_947
+
+        def best(f):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                value = f(runs)
+                times.append(time.perf_counter() - start)
+            return value, min(times)
+
+        directed, fast = best(_directed_log2)
+        full, slow = best(lambda r: math.log2(_run_product(r)))
+        assert directed.hex() == full.hex()
+        assert fast < slow / 3
 
 
 class TestCountingForm:
