@@ -55,7 +55,7 @@ from .hyperrect import (
     exact_entropy_counting,
     optimal_covering,
 )
-from .results import BoundCertificate, EllipsoidSpec, EntropyResult
+from .results import BoundCertificate, EntropyResult
 from .sequences import (
     Canonical,
     SemiAxisModel,

@@ -29,15 +29,9 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .constants import LN2, ExponentLike, as_exponent, gamma_pq
-from .errors import (
-    EntropyError,
-    NonCompactRegime,
-    ScanCapExceeded,
-    UnboundedCount,
-    UnsupportedCorner,
-)
+from .errors import EntropyError, NonCompactRegime, ScanCapExceeded, UnsupportedCorner
 from .numerics import Threshold, _check_radius, kahan_sum
-from .sequences import AXIS_CAP, SemiAxisModel, _passing_head, axis, last_passing
+from .sequences import AXIS_CAP, SemiAxisModel, passing
 
 NONCOMPACT_A = "NonCompact_a"
 NONCOMPACT_B = "NonCompact_b"
@@ -245,24 +239,14 @@ def entropy_estimator(model: SemiAxisModel, eps: float) -> float:
     """sum_{n <= d*} log2(mu_n / eps) with d* = max{n : mu_n > eps}.
 
     Reproduces the p = q = 2 asymptotic orders; the reference level eps
-    (instead of mu_{d*}) changes the value by O(1) only.  d* comes from
-    the searches ``counting`` uses: the model's index search from the
-    monotone start, and when nothing passes there, the passing head (one
-    search on a rising head).  The sum is the midpoint of the model's
-    log-product enclosure minus d* log2 eps.
+    (instead of mu_{d*}) changes the value by O(1) only.  d* is the last
+    index ``passing`` finds, as for ``counting``.  The sum is the midpoint
+    of the model's log-product enclosure minus d* log2 eps.
     """
     _check_radius(eps)
-    one = Threshold(1, eps)
-    start = model.monotone_start()
-    try:
-        d_star = model.last_exceeding(start, one)
-    except UnboundedCount as exc:
-        raise ScanCapExceeded(f"d* is beyond the scan cap {AXIS_CAP}") from exc
-    if d_star < start:
-        head = _passing_head(model, start, one)
-        d_star = head[-1].stop - 1 if head else 0
-    if d_star >= AXIS_CAP:
-        raise ScanCapExceeded(f"d* = {d_star} reaches the scan cap {AXIS_CAP}")
+    d_star = passing(model, Threshold(1, eps)).last
+    if d_star > AXIS_CAP:
+        raise ScanCapExceeded(f"d* = {d_star} exceeds the cap {AXIS_CAP}")
     if d_star == 0:
         return 0.0
     return model.log_product(d_star).mid - d_star * math.log2(eps)
@@ -275,12 +259,7 @@ def effective_dimension(
 
     This is the dimension-selection heuristic for covering at radius eps:
     the surrogate must eventually decay (decay index above 1/q - 1/p).
-
-    From ``model.monotone_start(1/q - 1/p)`` on the surrogate does not
-    rise, so its passing indices form a prefix, found by a gallop and a
-    bisection up to the cap.  Before that start, a rising head passes on a
-    suffix, so its last index alone decides; each index of any other head
-    (a table need not be unimodal) is tested on its own.
+    The index is the last one ``passing`` finds at e = 1/q - 1/p.
     """
     _check_radius(eps)
     rp, rq = as_exponent(p).reciprocal(), as_exponent(q).reciprocal()
@@ -291,24 +270,9 @@ def effective_dimension(
             f"d^(1/q-1/p) mu_d grows without bound: decay index b = {b} "
             f"is below 1/q - 1/p = {e}"
         )
-    try:
-        start = model.monotone_start(e)
-    except UnboundedCount as exc:
-        raise ScanCapExceeded(f"d^(1/q-1/p) mu_d does not fall within reach: {exc}") from exc
-    end = AXIS_CAP if model.length is None else min(AXIS_CAP, model.length)
-    if start > end + 1:
-        raise ScanCapExceeded(f"d^(1/q-1/p) mu_d rises past the cap {AXIS_CAP}")
-
-    def passes(d: int) -> bool:
-        return d**e * axis(model, d) > eps
-
-    last = last_passing(passes, start - 1, end)
-    if last < start and model.rising_head:
-        last = start - 1 if start > 1 and passes(start - 1) else 0
-    elif last < start:
-        last = max((d for d in range(1, start) if passes(d)), default=0)
-    if last == AXIS_CAP and last != model.length:
-        raise ScanCapExceeded(f"surrogate still above eps at the scan cap {AXIS_CAP}")
+    last = passing(model, Threshold(1, eps), e).last
+    if last > AXIS_CAP:
+        raise ScanCapExceeded(f"effective dimension {last} exceeds the cap {AXIS_CAP}")
     return last
 
 

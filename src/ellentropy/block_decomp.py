@@ -37,9 +37,16 @@ from .finite_bounds import (
     _density_upper_bound,
     product_grid_upper_bound,
 )
-from .numerics import _check_radius, kahan_sum
+from .numerics import Threshold, _check_radius, kahan_sum
 from .results import CERTIFIED_LOWER, CERTIFIED_UPPER, BoundCertificate, EntropyResult
-from .sequences import SemiAxisModel, axis, ensure_non_increasing, last_passing, tail_power_sum
+from .sequences import (
+    SemiAxisModel,
+    axis,
+    ensure_non_increasing,
+    last_passing,
+    passing,
+    tail_power_sum,
+)
 
 CASE_I = "I"
 CASE_II = "II"
@@ -295,11 +302,9 @@ def _mixed_cut(spec: MixedEllipsoidSpec, eps: float) -> int:
     _check_radius(eps)
     if not axis(spec.semi_axes, 1) > eps:
         raise EntropyError("mixed bounds require eps < mu_1")
-    k = 1
-    while axis(spec.semi_axes, k + 1) > eps:
-        k += 1
-        if k > len(spec.dims):
-            raise EntropyError("dims list too short for this eps")
+    k = passing(spec.semi_axes, Threshold(1, eps)).last
+    if k > len(spec.dims):
+        raise EntropyError("dims list too short for this eps")
     return k
 
 

@@ -13,10 +13,6 @@ class IndexBeyondTable(EntropyError):
     """A tabulated model without tail was evaluated past its last entry."""
 
 
-class UnboundedCount(EntropyError):
-    """A counting function would be infinite for the given threshold."""
-
-
 class DivergentTail(EntropyError):
     """A tail power sum does not converge for the mapped exponent."""
 
@@ -33,7 +29,8 @@ class EnumerationTooLarge(EntropyError):
 
 
 class ScanCapExceeded(EntropyError):
-    """An index scan hit its cap before reaching a decision point."""
+    """An index search found more indices than its entry point's cap, or
+    cannot end inside the float range."""
 
 
 class RadiusOutOfRange(EntropyError):

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import constants
-from .errors import EnumerationTooLarge, InvalidModel, ScanCapExceeded, UnboundedCount
+from .errors import EnumerationTooLarge, InvalidModel, ScanCapExceeded
 from .numerics import Threshold, _ceil_ratio, _check_radius, kahan_sum
-from .sequences import AXIS_CAP, SemiAxisModel, _above, _passing_head, axis, last_passing
+from .sequences import AXIS_CAP, SemiAxisModel, _above, axis, last_passing, passing
 
 ENUMERATION_CAP = 10**7
 
@@ -69,21 +69,15 @@ def _count_runs(model: SemiAxisModel, eps: float) -> Tuple[Runs, int]:
     """The runs of counts ceil(mu_n/eps) > 1 in axis order, and their total
     multiplicity (the effective dimension).
 
-    The axes with mu_n > eps are the passing head and a prefix of the rest;
-    their number is checked against the cap before any run is built.  On
-    a stretch where mu_n does not fall, a run of count v ends at the last
-    axis with mu_n <= v eps; past the head, at the last axis with
+    The axes with mu_n > eps are those ``passing`` finds; their number is
+    checked against the cap before any run is built.  On a stretch of the
+    head, where mu_n does not fall, a run of count v ends at the last axis
+    with mu_n <= v eps; past the head, at the last axis with
     mu_n > (v - 1) eps.
     """
     _check_radius(eps)
-    one = Threshold(1, eps)
-    start = model.monotone_start()
-    try:
-        last = model.last_exceeding(start, one)
-    except UnboundedCount as exc:
-        raise ScanCapExceeded(f"effective dimension beyond the cap {AXIS_CAP}") from exc
-    head = _passing_head(model, start, one)
-    dim = sum(r.stop - r.start for r in head) + last - start + 1
+    found = passing(model, Threshold(1, eps))
+    dim = found.count
     if dim > AXIS_CAP:
         raise ScanCapExceeded(f"effective dimension {dim} exceeds the cap {AXIS_CAP}")
     runs: List[Tuple[int, int]] = []
@@ -93,7 +87,7 @@ def _count_runs(model: SemiAxisModel, eps: float) -> Tuple[Runs, int]:
             m += runs.pop()[1]
         runs.append((v, m))
 
-    for stretch in head:
+    for stretch in found.head:
         n = stretch.start
         while n < stretch.stop:
             v = _ceil_ratio(axis(model, n), eps)
@@ -101,8 +95,8 @@ def _count_runs(model: SemiAxisModel, eps: float) -> Tuple[Runs, int]:
             end = last_passing(lambda m: not _above(model, m, t), n, stretch.stop - 1)
             add(v, end - n + 1)
             n = end + 1
-    n = start
-    while n <= last:
+    n = found.prefix.start
+    while n < found.prefix.stop:
         v = _ceil_ratio(axis(model, n), eps)
         end = model.last_exceeding(n + 1, Threshold(v - 1, eps))
         add(v, end - n + 1)

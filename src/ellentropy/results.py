@@ -1,12 +1,9 @@
-"""Shared result and specification types."""
+"""Shared result types."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
-
-from .constants import HolderExponent
-from .sequences import SemiAxisModel
 
 # Tags for EntropyResult.kind.
 EXACT = "exact"
@@ -58,26 +55,3 @@ class BoundCertificate:
         if self.notes:
             out["notes"] = list(self.notes)
         return out
-
-
-@dataclass(frozen=True)
-class EllipsoidSpec:
-    """A p-ellipsoid together with the ambient norm exponent q."""
-
-    p: HolderExponent
-    model: SemiAxisModel
-    q: HolderExponent
-
-    def to_json(self) -> dict:
-        return {"p": str(self.p), "model": self.model.to_json(), "q": str(self.q)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EllipsoidSpec":
-        from .constants import as_exponent
-        from .sequences import model_from_json
-
-        return cls(
-            p=as_exponent(data["p"]),
-            model=model_from_json(data["model"]),
-            q=as_exponent(data["q"]),
-        )

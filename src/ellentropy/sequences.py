@@ -29,20 +29,15 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Protocol
+from typing import Callable, Iterable, List, NamedTuple, Optional, Protocol
 
 from .constants import _EM_WEIGHTS, LN2, _hurwitz_tail
-from .errors import (
-    DivergentTail,
-    IndexBeyondTable,
-    InvalidModel,
-    UnboundedCount,
-)
+from .errors import DivergentTail, IndexBeyondTable, InvalidModel, ScanCapExceeded
 from .numerics import Interval, Threshold, _check_radius, kahan_sum
 
-# Largest effective dimension d* an entry point computes: the exact entropy
-# and the estimator count up to it, and the effective dimension searches
-# up to it.
+# Largest effective dimension d* an entry point computes: the exact entropy,
+# the estimator and the effective dimension raise ScanCapExceeded when
+# d* > AXIS_CAP.  The searches themselves are not capped.
 AXIS_CAP = 10**8
 
 
@@ -72,8 +67,9 @@ class SemiAxisModel(Protocol):
 
     def monotone_start(self, e: float = 0.0) -> int:
         """An index from which n**e mu_n is non-increasing, for e at most
-        the decay index (e = 0: the sequence itself); raises UnboundedCount
-        when n**e mu_n rises for ever."""
+        the decay index (e = 0: the sequence itself); raises
+        ScanCapExceeded when n**e mu_n rises for ever or past the float
+        range."""
 
     def last_exceeding(self, start: int, t: Threshold) -> int:
         """The largest n >= start - 1 with mu_m > t for every m in [start, n].
@@ -96,19 +92,6 @@ def _above(model: SemiAxisModel, n: int, t: Threshold) -> bool:
     """The membership test mu_n > t: the float mu_n, compared exactly
     (floats are exact rationals), with no tolerance either way."""
     return t.below(model.axis(n))
-
-
-def _passing_head(model: SemiAxisModel, start: int, t: Threshold) -> List[range]:
-    """The indices n < start with mu_n > t, as ranges of consecutive
-    indices on which mu_n does not fall.
-
-    A rising head passes on a suffix, one range found by one index search;
-    each passing index of any other head is tested, and is its own range.
-    """
-    if model.rising_head:
-        first = last_passing(lambda n: not _above(model, n, t), 0, start - 1) + 1
-        return [range(first, start)] if first < start else []
-    return [range(n, n + 1) for n in range(1, start) if _above(model, n, t)]
 
 
 def last_passing(passes: Callable[[int], bool], lo: int, hi: Optional[int] = None) -> int:
@@ -306,19 +289,22 @@ class Canonical:
         return 1
 
     def last_exceeding(self, start: int, t: Threshold) -> int:
-        """Closed form, then O(1) exact corrections of its float drift."""
+        """Closed form, then an exact search from it for its float drift,
+        which spans many indices once the answer passes 2**53: a gallop
+        up, or down to a passing index and a bisection back."""
         try:
             x = (self.c / t.near) ** (1.0 / self.b)
         except OverflowError:
             x = math.inf
         if not math.isfinite(x):
-            raise UnboundedCount("threshold underflows the canonical closed form")
+            raise ScanCapExceeded(f"the indices with mu_n > {t.near} run past the float range")
         n = max(start - 1, math.ceil(x) - 1)
-        while _above(self, n + 1, t):
-            n += 1
-        while n >= start and not _above(self, n, t):
-            n -= 1
-        return n
+        if _above(self, n + 1, t):
+            return last_passing(lambda m: _above(self, m, t), n + 1)
+        lo, step = n, 1
+        while lo >= start and not _above(self, lo, t):
+            lo, step = max(start - 1, n - step), 2 * step
+        return n if lo == n else last_passing(lambda m: _above(self, m, t), lo, n)
 
     def tail_power_sum(self, d: int, theta: float) -> Interval:
         s = self.b * theta
@@ -352,8 +338,8 @@ class Canonical:
 class TwoTermPolynomial:
     """mu_n = c1 * n**-alpha1 + c2 * n**-alpha2 with c1 > 0, alpha1 < alpha2.
 
-    Positivity is guaranteed asymptotically by the dominance of the first
-    term; the prefix up to the dominance index is checked explicitly.
+    n**alpha2 mu_n = c1 n**(alpha2 - alpha1) + c2 grows with n, so the law
+    is positive everywhere exactly when mu_1 = c1 + c2 is.
     """
 
     c1: float
@@ -369,16 +355,8 @@ class TwoTermPolynomial:
             raise InvalidModel("two-term model requires c1 > 0 and positive exponents")
         if not self.alpha1 < self.alpha2:
             raise InvalidModel("two-term model requires alpha1 < alpha2")
-        for n in range(1, self.dominance_index() + 1):
-            if self.axis(n) <= 0:
-                raise InvalidModel(f"two-term model non-positive at n={n}")
-
-    def dominance_index(self) -> int:
-        """Smallest n0 with c1*n**-a1 > |c2|*n**-a2 for all n >= n0."""
-        if self.c2 >= 0:
-            return 1
-        x = (abs(self.c2) / self.c1) ** (1.0 / (self.alpha2 - self.alpha1))
-        return max(1, int(math.floor(x)) + 1)
+        if not self.axis(1) > 0:
+            raise InvalidModel("two-term model requires mu_1 = c1 + c2 > 0")
 
     @property
     def decay_index(self) -> float:
@@ -395,12 +373,12 @@ class TwoTermPolynomial:
         if self.c2 >= 0:
             return 1
         if e >= self.alpha1:
-            raise UnboundedCount(f"n**{e} mu_n rises for ever")
+            raise ScanCapExceeded(f"n**{e} mu_n rises for ever")
         ratio = (self.alpha2 - e) * -self.c2 / ((self.alpha1 - e) * self.c1)
         try:
             return int(ratio ** (1.0 / (self.alpha2 - self.alpha1))) + 1
         except OverflowError as exc:
-            raise UnboundedCount(f"n**{e} mu_n peaks past the float range") from exc
+            raise ScanCapExceeded(f"n**{e} mu_n peaks past the float range") from exc
 
     def last_exceeding(self, start: int, t: Threshold) -> int:
         """A gallop followed by a bisection."""
@@ -754,21 +732,70 @@ def ensure_non_increasing(model: SemiAxisModel, upto: int) -> None:
             raise InvalidModel(f"sequence increases at n={n}")
 
 
+class Passing(NamedTuple):
+    """The indices passing a threshold: ``head``, those before the monotone
+    start, as ranges; ``prefix``, those from it on, one range."""
+
+    head: List[range]
+    prefix: range
+
+    @property
+    def count(self) -> int:
+        # ends, not len(): a count may pass sys.maxsize
+        return sum([r.stop - r.start for r in self.head], self.prefix.stop - self.prefix.start)
+
+    @property
+    def last(self) -> int:
+        """The largest passing index, 0 when none passes."""
+        if self.prefix.stop > self.prefix.start:
+            return self.prefix.stop - 1
+        return self.head[-1].stop - 1 if self.head else 0
+
+
+def passing(model: SemiAxisModel, t: Threshold, e: float = 0.0) -> Passing:
+    """The indices n with n**e mu_n > t: the float product, compared
+    exactly (see ``numerics.Threshold``), for e at most the decay index.
+
+    From ``model.monotone_start(e)`` on, n**e mu_n does not rise, so the
+    passing indices there form a prefix: the model's index search finds
+    its end at e = 0, and ``last_passing``, bounded by a complete table's
+    length, at any other e.  A rising head passes on a suffix, found by
+    one search; each index of any other head is tested on its own.  None
+    of the searches is capped: one that leaves the float range raises
+    ScanCapExceeded, as does a model whose monotone start lies past it.
+    """
+
+    def above(n: int) -> bool:
+        return t.below(model.axis(n) if e == 0 else float(n) ** e * model.axis(n))
+
+    try:
+        start = model.monotone_start(e)
+        if e == 0:
+            last = model.last_exceeding(start, t)
+        else:
+            last = last_passing(above, start - 1, model.length)
+        if model.rising_head:
+            first = last_passing(lambda n: not above(n), 0, start - 1) + 1
+            head = [range(first, start)] if first < start else []
+        else:
+            head = [range(n, n + 1) for n in range(1, start) if above(n)]
+    except OverflowError as exc:
+        raise ScanCapExceeded(
+            f"the indices with n**{e} mu_n > {t.near} run past the float range"
+        ) from exc
+    return Passing(head, range(start, last + 1))
+
+
 def counting(model: SemiAxisModel, t: float, k: int = 1) -> int:
     """M_k(t) = #{n : mu_n > k*t}, with strict inequality.
 
-    The test is the one ``hyperrect.exact_entropy`` uses, so M_1(eps) is
-    its effective dimension at every eps.  A rising head passes on a
-    suffix, found by one index search (any other head is tested axis by
-    axis); past the head the model's index search answers.
+    The count of ``passing``, so M_1(eps) is the effective dimension of
+    ``hyperrect.exact_entropy`` at every eps.
     """
     _check_radius(t, "threshold t")
     if k < 1:
         raise InvalidModel("k must be >= 1")
-    threshold = Threshold(k, t)
-    start = model.monotone_start()
-    head = sum(r.stop - r.start for r in _passing_head(model, start, threshold))
-    return head + model.last_exceeding(start, threshold) - (start - 1)
+    return passing(model, Threshold(k, t)).count
 
 
 def log_product(model: SemiAxisModel, d: int) -> float:

@@ -278,3 +278,12 @@ class TestMixedBounds:
     def test_eps_above_mu1_rejected(self):
         with pytest.raises(EntropyError):
             mixed_upper_bound(self.spec(), 1.5)
+
+    def test_cut_is_the_last_axis_above_eps(self):
+        # every axis of the complete table lies above eps, so the cut is the
+        # whole table and no axis past it is evaluated
+        lower = mixed_lower_bound(self.spec(), 0.1)
+        assert lower.bits == pytest.approx(9 * math.log2(10) + 9 * math.log2(5), rel=1e-12)
+        # three axes of 1/n lie above 0.3, but only two blocks are given
+        with pytest.raises(EntropyError, match="too short"):
+            mixed_lower_bound(MixedEllipsoidSpec(Canonical(1.0, 1.0), (9, 9)), 0.3)

@@ -210,6 +210,22 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(out)["kind"] == "cap-exceeded"
 
+    def test_non_positive_two_term_is_2(self, capsys):
+        model = "two_term:c1=1,c2=-2,alpha1=1,alpha2=1.000001"
+        code, _, err = run(capsys, "exact", "--model", model, "--eps", "0.1")
+        assert code == 2
+        assert json.loads(err)["kind"] == "invalid-input"
+
+    @pytest.mark.parametrize("model, eps", [
+        ("two_term:c1=1.0,c2=0.5,alpha1=0.001,alpha2=1.0", "0.1"),
+        ("two_term:c1=1,c2=-0.9999,alpha1=0.001,alpha2=0.0011", "0.5"),
+    ])
+    @pytest.mark.parametrize("command", ["exact", "estimator"])
+    def test_count_past_the_float_range_is_4(self, capsys, command, model, eps):
+        code, out, _ = run(capsys, command, "--model", model, "--eps", eps)
+        assert code == 4
+        assert json.loads(out)["kind"] == "cap-exceeded"
+
     def test_noncompact_besov_is_3(self, capsys):
         # s/d below 1/p1 - 1/2: the smoothness ball is not compact in L2
         code, _, _ = run(

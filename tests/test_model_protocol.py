@@ -5,12 +5,15 @@ members; it is not a subclass of any family.  Every entry point must give
 it the same results, bit for bit, as the model it wraps.
 """
 
+import ast
 import itertools
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import ellentropy
 from ellentropy.asymptotics import effective_dimension, entropy_estimator
 from ellentropy.block_decomp import infinite_upper_bound
 from ellentropy.errors import EntropyError
@@ -123,3 +126,16 @@ def test_forwarding_model_gives_the_same_results(model):
     )
     for e in (-0.5, 0.0, 0.5):
         assert outcome(lambda: fwd.monotone_start(e)) == outcome(lambda: model.monotone_start(e))
+
+
+def test_only_sequences_calls_monotone_start():
+    # the passing set is derived in one place, ``sequences.passing``, so no
+    # other module may look for the monotone start itself
+    callers = set()
+    for path in Path(ellentropy.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if name == "monotone_start":
+                callers.add(path.name)
+    assert callers == {"sequences.py"}

@@ -1,17 +1,4 @@
-import math
-
-from ellentropy.constants import HolderExponent
-from ellentropy.results import BoundCertificate, EllipsoidSpec, EntropyResult
-from ellentropy.sequences import Canonical
-
-
-def test_ellipsoid_spec_json_round_trip():
-    spec = EllipsoidSpec(
-        p=HolderExponent(math.inf), model=Canonical(1.0, 2.0), q=HolderExponent(2.0)
-    )
-    data = spec.to_json()
-    assert data["p"] == "inf" and data["q"] == "2"
-    assert EllipsoidSpec.from_json(data) == spec
+from ellentropy.results import BoundCertificate, EntropyResult
 
 
 def test_certificate_json_shape():

@@ -1,13 +1,18 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellentropy.errors import DivergentTail, IndexBeyondTable, InvalidModel
-from ellentropy.hyperrect import exact_entropy
+from ellentropy.asymptotics import effective_dimension, entropy_estimator
+from ellentropy.errors import DivergentTail, IndexBeyondTable, InvalidModel, ScanCapExceeded
+from ellentropy.hyperrect import exact_entropy, exact_entropy_counting
+from ellentropy.numerics import Threshold
 from ellentropy.sequences import (
+    AXIS_CAP,
     Canonical,
     Tabulated,
     TwoTermPolynomial,
@@ -17,6 +22,7 @@ from ellentropy.sequences import (
     ensure_non_increasing,
     log_product,
     model_from_json,
+    passing,
     tail_power_sum,
 )
 
@@ -46,6 +52,15 @@ class TestModelValidation:
     def test_nonpositive_two_term_rejected(self):
         with pytest.raises(InvalidModel):
             TwoTermPolynomial(c1=1.0, c2=-2.0, alpha1=1.0, alpha2=1.5)
+
+    def test_two_term_positivity_is_checked_at_mu_1(self):
+        # mu_1 = -1: the law is rejected without searching for the index
+        # where the first term dominates, (2/1)**(1/1e-6), past the floats
+        with pytest.raises(InvalidModel):
+            TwoTermPolynomial(1, -2, 1, 1.000001)
+        # n**alpha2 mu_n grows with n, so mu_1 > 0 is enough
+        m = TwoTermPolynomial(1, -0.9999, 0.001, 0.0011)
+        assert 0 < axis(m, 1) < axis(m, 10**6)
 
     def test_increasing_table_rejected(self):
         with pytest.raises(InvalidModel):
@@ -107,6 +122,26 @@ class TestCounting:
         assert counting(rising, 0.2) == 23
         assert exact_entropy(rising, 0.2).effective_dim == 23
 
+    @pytest.mark.parametrize("c", [2.5, 1.5])
+    def test_canonical_search_past_2_53_takes_few_evaluations(self, monkeypatch, c):
+        # at b = 0.25 and eps = 1e-5 the count is near 4e21, and the float
+        # closed form misses it by 786,433 indices (c = 2.5, below the
+        # count) or 360,448 (c = 1.5, above it)
+        evaluate = Canonical.axis
+        calls = []
+
+        def budgeted(self, n):
+            calls.append(n)
+            if len(calls) > 500:
+                raise RuntimeError("more than 500 axis evaluations")
+            return evaluate(self, n)
+
+        monkeypatch.setattr(Canonical, "axis", budgeted)
+        n = counting(Canonical(0.25, c), 1e-5)
+        monkeypatch.undo()
+        assert axis(Canonical(0.25, c), n) > 1e-5 >= axis(Canonical(0.25, c), n + 1)
+        assert n > 2**53
+
     @given(
         b=st.floats(0.5, 4.0),
         c=st.floats(0.1, 3.0),
@@ -135,6 +170,85 @@ class TestCounting:
         assert counting(model, t, k) >= counting(model, t * 1.5, k)
         if k * t >= axis(model, 1):
             assert counting(model, t, k) == 0
+
+
+INF = math.inf
+
+
+def _effective_dimension_sup(model, eps):
+    return effective_dimension(model, INF, INF, eps)
+
+
+class TestPassing:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            Canonical(1.0, 1.0),
+            TwoTermPolynomial(1.0, -0.9, 1.0, 3.0),  # rises from n = 1 to n = 2
+            # n**0.5 mu_n rises, falls and rises again in the table
+            Tabulated((1.0, 0.9, 0.8, 0.3, 0.29), Canonical(1.0, 1.4)),
+            Tabulated((1.0, 0.9, 0.8, 0.3, 0.29)),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("e", [0.0, 0.25, 0.5, -0.5])
+    def test_passing_set_equals_the_walk(self, model, e):
+        walk = range(1, 2001 if model.length is None else model.length + 1)
+        for eps in (0.05, 0.3, 0.62, 1.2):
+            found = passing(model, Threshold(1, eps), e)
+            walked = [n for n in walk if float(n) ** e * axis(model, n) > eps]
+            if model.length is None:
+                assert walked[-1:] != [walk[-1]]  # the walk reaches past the set
+            assert [n for r in (*found.head, found.prefix) for n in r] == walked
+            assert found.count == len(walked)
+            assert found.last == (walked[-1] if walked else 0)
+
+    def test_counts_past_sys_maxsize(self):
+        # mu_1 = 0.1 passes, so the whole rising head up to its monotone
+        # start near 2.1e16 does, and the prefix past it ends past 10**100
+        model = TwoTermPolynomial(1.0, -0.9, 0.01, 0.05)
+        found = passing(model, Threshold(1, 0.05))
+        assert found.head == [range(1, model.monotone_start())]
+        assert found.count == found.last > 10**100 > sys.maxsize
+
+    @pytest.mark.parametrize(
+        "model, eps",
+        [
+            (TwoTermPolynomial(1.0, 0.5, 0.001, 1.0), 0.1),  # d* near 10**1000
+            (TwoTermPolynomial(1, -0.9999, 0.001, 0.0011), 0.5),  # peak near e**952
+            (Canonical(0.001, 1.0), 0.1),  # d* near 10**1000
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            counting,
+            exact_entropy,
+            exact_entropy_counting,
+            entropy_estimator,
+            _effective_dimension_sup,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_past_the_float_range_raises_scan_cap(self, model, eps, entry):
+        start = time.perf_counter()
+        with pytest.raises(ScanCapExceeded):
+            entry(model, eps)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_is_d_star_above_axis_cap(self):
+        # c/n > 1 exactly for n <= 10**8 at c = 1e8 + 0.5, and 10**8 + 1
+        # at c = 1e8 + 1.5
+        at, past = Canonical(1.0, 1e8 + 0.5), Canonical(1.0, 1e8 + 1.5)
+        assert counting(at, 1.0) == AXIS_CAP
+        assert exact_entropy(at, 1.0).effective_dim == AXIS_CAP
+        assert entropy_estimator(at, 1.0) == at.log_product(AXIS_CAP).mid
+        assert _effective_dimension_sup(at, 1.0) == AXIS_CAP
+        assert counting(past, 1.0) == AXIS_CAP + 1
+        for entry in (exact_entropy, entropy_estimator, _effective_dimension_sup):
+            with pytest.raises(ScanCapExceeded):
+                entry(past, 1.0)
 
 
 class TestLogProduct:
