@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from .constants import ExponentLike, as_exponent
 from .errors import (
@@ -41,6 +41,7 @@ from .numerics import Threshold, _check_radius, kahan_sum
 from .results import CERTIFIED_LOWER, CERTIFIED_UPPER, BoundCertificate, EntropyResult
 from .sequences import (
     SemiAxisModel,
+    _law_start,
     axis,
     ensure_non_increasing,
     last_passing,
@@ -53,6 +54,7 @@ CASE_II = "II"
 CASE_III = "III"
 
 _DIM_SCAN_CAP = 10**7
+_LOG_CAP = math.log(_DIM_SCAN_CAP + 0.5)
 
 
 @dataclass(frozen=True)
@@ -113,9 +115,7 @@ def tail_radius(
     if case == CASE_I:
         if rp < rq:
             raise EntropyError("case I requires p <= q")
-        if model.length is not None and d >= model.length:
-            return 0.0
-        return axis(model, d + 1)
+        return _next_axis(model, d)
     if b <= 0:
         raise EntropyError("decay index b must be positive")
     _intrinsic_b(model, b)
@@ -151,18 +151,14 @@ def combined_radius(plan: BlockPlan, q: ExponentLike) -> float:
     return best
 
 
-def _pick_case(model: SemiAxisModel, p, q) -> Tuple[str, Optional[float]]:
+def _pick_case(model: SemiAxisModel, p, q) -> str:
     rp, rq = p.reciprocal(), q.reciprocal()
     b = model.decay_index
-    if b is None:
-        # Complete finite table: the residual is empty from d = table length.
-        if rp >= rq:
-            return CASE_I, None
-        return CASE_II, None
     if rp >= rq:
-        return CASE_I, b
-    if rq - rp < b:
-        return CASE_II, b
+        return CASE_I
+    # a complete finite table (b None) has an empty residual from d = length
+    if b is None or rq - rp < b:
+        return CASE_II
     if math.isclose(rq - rp, b, rel_tol=1e-12):
         raise NonCompactRegime(
             "critical line q = p/(pb+1): canonical-type tails are not compact"
@@ -170,18 +166,121 @@ def _pick_case(model: SemiAxisModel, p, q) -> Tuple[str, Optional[float]]:
     raise NonCompactRegime("q < p/(pb+1): the ellipsoid is not compact in lq")
 
 
-def _tail_radius_any(model, d, p, q, case, b) -> float:
+def _next_axis(model: SemiAxisModel, d: int) -> float:
+    """mu_{d+1}, the case-I tail radius past index d; 0 past a complete table."""
     L = model.length
-    if L is not None and d >= L:
-        return 0.0
+    return 0.0 if L is not None and d >= L else axis(model, d + 1)
+
+
+def _tail_radii(model: SemiAxisModel, case: str, power: float) -> Callable[[int], float]:
+    """alpha_d as a function of d for a case picked by ``_pick_case``, with
+    power = 1/q - 1/p; each value is computed once."""
     if case == CASE_I:
-        return axis(model, d + 1)
-    if L is not None:
-        # Finite table, q < p: Hoelder over the remaining table entries.
-        rp, rq = p.reciprocal(), q.reciprocal()
-        theta = 1.0 / (rq - rp)
-        return tail_power_sum(model, d, theta).hi ** (rq - rp)
-    return tail_radius(model, d, p, q, b, case)
+        return lambda d: _next_axis(model, d)
+    values: Dict[int, float] = {}
+    theta = 1.0 / power
+    L = model.length
+
+    def tail_at(d: int) -> float:
+        alpha = values.get(d)
+        if alpha is None:
+            if L is not None and d >= L:
+                alpha = 0.0
+            else:
+                alpha = tail_power_sum(model, d, theta).hi ** power
+            values[d] = alpha
+        return alpha
+
+    return tail_at
+
+
+# Probes placed by the power law before the cut search falls back to a
+# gallop from the last prediction.
+_LAW_PROBES = 4
+
+
+def _ln(x: float) -> float:
+    return math.log(x) if x > 0 else -math.inf
+
+
+def _cut(model, case: str, tail_at, power: float, eps: float, target: float) -> int:
+    """The cut dimension of ``infinite_upper_bound``: 0 when alpha_0 <= eps,
+    else the smallest d with alpha_d <= target, where a result past
+    ``_DIM_SCAN_CAP`` only says that none up to the cap is.  The radii
+    alpha_d do not rise, so the d with alpha_d > target form a prefix and
+    every search that brackets its end finds the same cut.
+
+    In case I, alpha_d = mu_{d+1}, so the cut is the last index with
+    mu_n > target, from the model's own search: no tail sum at all.
+
+    In case II, past the head of the law, alpha_d ~ C (d + 1/2)**-gamma
+    with gamma = b - power (the Euler-Maclaurin form of a tail sum of
+    c n**-b), so the level u = ln(x + 1/2) of the real x with
+    alpha_x = target is linear in ln alpha.  The first prediction takes
+    c = mu_m m**b from the axis m where the decay law starts, then once
+    more from the axis at the predicted cut, and C = c (b theta - 1)**-power.
+    Each probe shrinks a bracket (a passing index, a failing one) and
+    re-anchors the next prediction along the secant through it and the
+    index evaluated before it, or along gamma where that is steeper: past
+    a passing probe of a two-term law, the slope of ln alpha lies between
+    the two, so the prediction stays short of the cut rather than
+    overshooting it (an overshoot on a small cut can cost more than the
+    whole gallop from 0).  After ``_LAW_PROBES`` probes ``last_passing``
+    finishes the bracket from the last prediction.  A cut that the law
+    puts in the head, which follows no law (a table's head, a rising
+    head), is searched for there from 0; a complete table is searched from
+    0 throughout, its radii past the table being 0 for free.  A
+    prediction past the cap tests the cap first, which settles
+    ScanCapExceeded in one evaluation when alpha_cap > eps.
+    """
+    if case == CASE_I:
+        return 0 if tail_at(0) <= eps else passing(model, Threshold(1, target)).last
+
+    def passes(n: int) -> bool:
+        return tail_at(n) > target
+
+    if model.length is not None:
+        return 0 if tail_at(0) <= eps else last_passing(passes, 0, _DIM_SCAN_CAP) + 1
+    b = model.decay_index
+    gamma, s = b - power, b * (1.0 / power)  # s as the tail sums compute it
+    log_t = _ln(target)
+
+    def probe(u: float) -> int:
+        # the predicted last passing index, ceil(x) - 1; the cap for nan
+        return math.ceil(math.exp(u) - 1.5) if u < _LOG_CAP else _DIM_SCAN_CAP
+
+    def seed(m: int) -> float:
+        # s <= 1 gives the cap, where the tail sum raises DivergentTail
+        return (_ln(axis(model, m)) + b * math.log(m) - power * _ln(s - 1.0) - log_t) / gamma
+
+    m = _law_start(model)
+    u = seed(m)
+    u = seed(max(m, min(probe(u) + 1, _DIM_SCAN_CAP)))
+    if probe(u) >= _DIM_SCAN_CAP and tail_at(_DIM_SCAN_CAP) > eps:
+        return _DIM_SCAN_CAP + 1  # alpha_0 >= alpha_cap > eps
+    if tail_at(0) <= eps:
+        return 0
+    lo, fail = 0, _DIM_SCAN_CAP + 1
+    if probe(u) < m - 1:
+        lo = last_passing(passes, 0, m - 1)
+        if lo < m - 1:
+            return lo + 1
+    last = (math.log(lo + 0.5), _ln(tail_at(lo)))  # (ln(n + 1/2), ln alpha_n)
+    for _ in range(_LAW_PROBES):
+        n = min(max(probe(u), lo + 1), fail - 1)
+        alpha = tail_at(n)
+        if alpha > target:
+            lo = n
+        else:
+            fail = n
+        if fail - lo == 1:
+            return fail
+        anchor, last = last, (math.log(n + 0.5), _ln(alpha))
+        slope = gamma
+        if anchor[1] > last[1]:
+            slope = max(gamma, (anchor[1] - last[1]) / (last[0] - anchor[0]))
+        u = last[0] + (last[1] - log_t) / slope
+    return last_passing(passes, lo, fail - 1, near=probe(u)) + 1
 
 
 def infinite_upper_bound(
@@ -195,37 +294,37 @@ def infinite_upper_bound(
 
     The cut dimension d is the smallest one whose tail radius is at most
     eps 2^(-1/q) (the equal-q-power split; the full eps when q is the sup
-    norm), found by a gallop and a bisection up to ``_DIM_SCAN_CAP``; the
-    finite block is then covered at the complementary radius through the
-    density bound, with eta set to the smallest admissible value.
+    norm), up to ``_DIM_SCAN_CAP``.  In case I it is the last index with
+    mu_n above that radius, found by the model's own search; in case II a
+    few tail evaluations placed by the power law of the tail radius find
+    it (see ``_cut``).  The finite block is then covered at the
+    complementary radius through the density bound, with eta set to the
+    smallest admissible value.
     """
     p, q = as_exponent(p), as_exponent(q)
     _check_radius(eps)
-    case, b = _pick_case(model, p, q)
-
-    def tail_at(d: int) -> float:
-        return _tail_radius_any(model, d, p, q, case, b)
-
-    if tail_at(0) <= eps:
+    case = _pick_case(model, p, q)
+    rp, rq = p.reciprocal(), q.reciprocal()
+    tail_at = _tail_radii(model, case, rq - rp)
+    target = eps * 2.0 ** (-rq)
+    d = _cut(model, case, tail_at, rq - rp, eps, target)
+    if d > _DIM_SCAN_CAP:
+        raise ScanCapExceeded(
+            f"no dimension up to {_DIM_SCAN_CAP} brings the tail under {target}"
+        )
+    alpha = tail_at(d)
+    if d == 0:
         cert = BoundCertificate(
             effective_dimension=0,
             block_sizes=(),
             inner_radii=(),
-            tail_radius=tail_at(0),
+            tail_radius=alpha,
             omega_count=1,
             tail_case=case,
         )
         return EntropyResult(0.0, CERTIFIED_UPPER, eps), cert
 
-    target = eps * 2.0 ** (-q.reciprocal())
-    # a complete table always has a cut: its tail vanishes past the end
-    d = last_passing(lambda n: tail_at(n) > target, 0, _DIM_SCAN_CAP) + 1
-    if d > _DIM_SCAN_CAP:
-        raise ScanCapExceeded(
-            f"no dimension up to {_DIM_SCAN_CAP} brings the tail under {target}"
-        )
     ensure_non_increasing(model, d + 1)  # standing assumption of the split
-    alpha = tail_at(d)
     if q.is_inf:
         rho = eps
     else:
@@ -234,7 +333,6 @@ def infinite_upper_bound(
 
     notes = []
     if d >= 3:
-        rp, rq = p.reciprocal(), q.reciprocal()
         mu_d = axis(model, d)
         # the upper end of the log-product keeps the bound certified
         lg_gmean = model.log_product(d).hi / d
@@ -343,7 +441,7 @@ def mixed_upper_bound(
         effective_dimension=dbar,
         block_sizes=tuple(dims),
         inner_radii=(eps,) * k,
-        tail_radius=axis(spec.semi_axes, k + 1),
+        tail_radius=_next_axis(spec.semi_axes, k),
         omega_count=n_omega,
         tail_case=CASE_I,
         notes=(f"parametric in rogers_K={rogers_K:g}", f"gamma={gamma:g}"),

@@ -94,19 +94,33 @@ def _above(model: SemiAxisModel, n: int, t: Threshold) -> bool:
     return t.below(model.axis(n))
 
 
-def last_passing(passes: Callable[[int], bool], lo: int, hi: Optional[int] = None) -> int:
+def last_passing(
+    passes: Callable[[int], bool], lo: int, hi: Optional[int] = None, near: Optional[int] = None
+) -> int:
     """The largest n <= hi with passes(m) for every m in (lo, n]; lo when
     passes(lo + 1) fails or lo = hi.
 
     The passing indices past lo must form a prefix, as they do for a
-    threshold test on a non-increasing sequence.  A gallop followed by a
-    bisection, so O(log n) tests; hi = None leaves the search unbounded.
+    threshold test on a non-increasing sequence.  The search starts from
+    ``near``, a guess at the answer (lo by default, clamped into [lo, hi]):
+    a gallop up from it while the tests pass, or down from it to a passing
+    index when it fails, then a bisection of the bracket, so
+    O(log |answer - near|) tests; hi = None leaves the search unbounded.
     """
-    n, step = lo, 1
-    while (hi is None or n + step <= hi) and passes(n + step):
-        n += step
-        step *= 2
-    fail = n + step if hi is None else min(n + step, hi + 1)
+    n = lo if near is None else max(lo, near if hi is None else min(near, hi))
+    fail = None if hi is None else hi + 1
+    if n > lo and not passes(n):
+        fail, step = n, 1
+        n = fail - 1
+        while n > lo and not passes(n):
+            fail, step = n, 2 * step
+            n = max(lo, fail - step)
+    else:
+        step = 1
+        while (fail is None or n + step < fail) and passes(n + step):
+            n += step
+            step *= 2
+        fail = n + step if fail is None else min(n + step, fail)
     while fail - n > 1:
         mid = (n + fail) // 2
         if passes(mid):
@@ -289,9 +303,12 @@ class Canonical:
         return 1
 
     def last_exceeding(self, start: int, t: Threshold) -> int:
-        """Closed form, then an exact search from it for its float drift,
-        which spans many indices once the answer passes 2**53: a gallop
-        up, or down to a passing index and a bisection back."""
+        """Closed form, checked exactly at its two neighbours; where its
+        float drift moves the answer, which it does over many indices once
+        the answer passes 2**53, a search from it.  The check alone runs
+        the same two tests as that search, without building it: the exact
+        entropy calls this once per distinct count, and going through the
+        search every time made it about 9% slower (CPython 3.11)."""
         try:
             x = (self.c / t.near) ** (1.0 / self.b)
         except OverflowError:
@@ -299,12 +316,9 @@ class Canonical:
         if not math.isfinite(x):
             raise ScanCapExceeded(f"the indices with mu_n > {t.near} run past the float range")
         n = max(start - 1, math.ceil(x) - 1)
-        if _above(self, n + 1, t):
-            return last_passing(lambda m: _above(self, m, t), n + 1)
-        lo, step = n, 1
-        while lo >= start and not _above(self, lo, t):
-            lo, step = max(start - 1, n - step), 2 * step
-        return n if lo == n else last_passing(lambda m: _above(self, m, t), lo, n)
+        if (n < start or _above(self, n, t)) and not _above(self, n + 1, t):
+            return n
+        return last_passing(lambda m: _above(self, m, t), start - 1, near=n)
 
     def tail_power_sum(self, d: int, theta: float) -> Interval:
         s = self.b * theta
@@ -730,6 +744,21 @@ def ensure_non_increasing(model: SemiAxisModel, upto: int) -> None:
     for n in range(2, min(upto, model.monotone_start()) + 1):
         if model.axis(n) > model.axis(n - 1):
             raise InvalidModel(f"sequence increases at n={n}")
+
+
+def _law_start(model: SemiAxisModel) -> int:
+    """The first index from which an unbounded model follows its decay law
+    mu_n ~ c n**-b closely enough to seed a search: past a rising head (1
+    for a law that does not rise, and for one that peaks past the float
+    range, which no search reaches), and for a table the first index past
+    it, where its canonical tail keeps n**b mu_n constant (its monotone
+    start at e = b)."""
+    if not model.rising_head:
+        return model.monotone_start(model.decay_index)
+    try:
+        return model.monotone_start()
+    except ScanCapExceeded:
+        return 1
 
 
 class Passing(NamedTuple):

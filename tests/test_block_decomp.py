@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -21,9 +22,20 @@ from ellentropy.block_decomp import (
 from ellentropy.errors import DivergentTail, EntropyError, NonCompactRegime, ScanCapExceeded
 from ellentropy.finite_bounds import _density_upper_bound
 from ellentropy.hyperrect import exact_entropy
-from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial, axis, tail_power_sum
+from ellentropy.sequences import (
+    Canonical,
+    Tabulated,
+    TwoTermPolynomial,
+    axis,
+    last_passing,
+    tail_power_sum,
+)
+from test_golden import MODELS as GOLDEN_MODELS
+
+from forwarding import Forwarding
 
 INF = math.inf
+EXPONENTS = (1.0, 1.5, 2.0, 3.0, INF)
 
 
 class TestCombinedRadius:
@@ -192,6 +204,179 @@ class TestInfiniteUpperBound:
         assert result.bits >= exact_entropy(Tabulated((1.0, 0.5, 0.25)), 0.2).bits
 
 
+def _gallop_cut(model, case, tail_at, power, eps, target):
+    """The cut search the seeded one replaced: a gallop from 0 and a
+    bisection up to the cap, whatever the case."""
+    if tail_at(0) <= eps:
+        return 0
+    return last_passing(lambda n: tail_at(n) > target, 0, block_decomp._DIM_SCAN_CAP) + 1
+
+
+def _bound(model, p, q, eps):
+    """The result and certificate as dicts, or the error type."""
+    try:
+        result, cert = infinite_upper_bound(model, p, q, eps)
+    except EntropyError as exc:
+        return type(exc)
+    return dataclasses.asdict(result), dataclasses.asdict(cert)
+
+
+def _tail_sums(model, p, q, eps):
+    """The tail sums one bound call evaluates, and whether it returned."""
+    counted = Forwarding(model)
+    returned = not isinstance(_bound(counted, p, q, eps), type)
+    return counted.tail_calls, returned
+
+
+class TestSeededCut:
+    # 0.63 down to 1e-4: far past the radii of the golden bound cells, so
+    # cuts run up to and past the 10**7 cap (the slow tail's q < p cells)
+    RADII = tuple(0.63 * (1e-4 / 0.63) ** (k / 8) for k in range(9))
+
+    # small cuts that a seed easily overshoots: two-term laws whose second
+    # term dominates the first axes, and a rising head
+    STEEP_HEADS = (
+        (
+            TwoTermPolynomial(
+                0.6027715443872617,
+                7.054632643497453,
+                0.6213097195481232,
+                3.1639473754718743,
+            ),
+            1.5, 1.0, 1.0205048027377068,
+        ),
+        (
+            TwoTermPolynomial(
+                0.5670021923362087,
+                6.749375830042315,
+                0.43195489562631934,
+                3.330384535476229,
+            ),
+            INF, 3.0, 1.2272849054006785,
+        ),
+        (
+            TwoTermPolynomial(
+                0.14532700886969555,
+                2.824435340726291,
+                0.42637028464777743,
+                1.092288661848835,
+            ),
+            1.5, 1.0, 1.3136675935805924,
+        ),
+        (
+            TwoTermPolynomial(
+                0.39064624874067216,
+                6.315487437579501,
+                0.5729898038694818,
+                1.4188849593476314,
+            ),
+            1.5, 1.0, 1.1629751105233963,
+        ),
+        (
+            TwoTermPolynomial(1.0, -0.9, 0.7, 1.2),
+            2.0, 1.5, 0.2692529729126247,
+        ),
+        (
+            TwoTermPolynomial(1.0, -0.9, 0.7, 1.2),
+            3.0, 2.0, 0.2692529729126247,
+        ),
+    )
+
+    def test_same_certificates_as_the_gallop(self, monkeypatch):
+        cells = caps = 0
+        for k, (model, _) in enumerate(GOLDEN_MODELS.values()):
+            for p, q, eps in itertools.product(EXPONENTS, EXPONENTS, self.RADII):
+                seeded = _bound(Forwarding(model) if k % 2 else model, p, q, eps)
+                with monkeypatch.context() as patch:
+                    patch.setattr(block_decomp, "_cut", _gallop_cut)
+                    reference = _bound(model, p, q, eps)
+                assert seeded == reference, (model, p, q, eps)
+                cells += 1
+                caps += seeded is ScanCapExceeded
+        assert cells == 12 * 25 * 9 and caps > 30
+
+    def test_no_more_tail_sums_than_the_gallop(self, monkeypatch):
+        cells = [
+            (model, p, q, eps)
+            for model, _ in GOLDEN_MODELS.values()
+            for p, q, eps in itertools.product(EXPONENTS, EXPONENTS, self.RADII)
+        ]
+        for model, p, q, eps in cells + list(self.STEEP_HEADS):
+            seeded, _ = _tail_sums(model, p, q, eps)
+            with monkeypatch.context() as patch:
+                patch.setattr(block_decomp, "_cut", _gallop_cut)
+                gallop, returned = _tail_sums(model, p, q, eps)
+            # the gallop's caller evaluated alpha_d once more for the
+            # certificate after the search; the seeded search reuses it
+            assert seeded <= gallop + returned, (model, p, q, eps, seeded, gallop)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            Canonical(2.0, 1.0),
+            Canonical(1.0, 0.1),
+            Canonical(0.8, 2.0),
+            TwoTermPolynomial(1.0, -0.3, 1.6, 2.1),
+            TwoTermPolynomial(1.0, 1.0, 1.0, 1.25),
+        ],
+        ids=repr,
+    )
+    def test_case_two_cut_takes_a_few_tail_sums(self, model):
+        b = model.decay_index
+        checked = 0
+        for p, q, d in itertools.product(EXPONENTS, EXPONENTS, (10, 100, 10**4, 10**6)):
+            if not 0 < 1 / q - 1 / p < b:
+                continue
+            # the radius whose target is alpha_d, so that the cut is d,
+            # unless it covers the whole body in one ball
+            eps = tail_radius(model, d, p, q, b, CASE_II) * 2.0 ** (1 / q)
+            if eps >= tail_radius(model, 0, p, q, b, CASE_II):
+                continue
+            counted = Forwarding(model)
+            _, cert = infinite_upper_bound(counted, p, q, eps)
+            assert abs(cert.effective_dimension - d) <= 1
+            assert counted.tail_calls <= 6, (p, q, d, counted.tail_calls)
+            checked += 1
+        assert checked >= 12
+
+    def test_case_one_cut_reads_no_tail(self):
+        # the closed form: alpha_0, alpha_d and mu_d are the only axes read
+        # here, at any cut; the model's own search reads its own axes
+        model = Canonical(1.5, 0.7)
+        pairs = ((2.0, 2.0), (1.0, 3.0), (INF, INF))
+        for (p, q), d in itertools.product(pairs, (10, 10**3, 10**6)):
+            eps = 0.5 * (axis(model, d) + axis(model, d + 1)) * 2.0 ** (1 / q)
+            counted = Forwarding(model)
+            _, cert = infinite_upper_bound(counted, p, q, eps)
+            assert cert.effective_dimension == d
+            assert (counted.tail_calls, counted.axis_calls) == (0, 3)
+
+    def test_cap_settled_by_one_tail_sum(self):
+        # 1/q - 1/p = 2/3 leaves gamma = 0.001 on the slow tail: alpha at
+        # the cap is still about 0.72, above every radius here
+        model = GOLDEN_MODELS["slow-tail"][0]
+        for eps in (0.63, 0.1, 0.01, 1e-4):
+            counted = Forwarding(model)
+            with pytest.raises(ScanCapExceeded):
+                infinite_upper_bound(counted, 3.0, 1.0, eps)
+            assert counted.tail_calls == 1
+
+    def test_head_peaking_past_the_float_range(self):
+        # the head rises up to about e**952, so no law start is in reach to
+        # seed from; one ball still covers the body at a large radius
+        model = TwoTermPolynomial(1.0, -0.9999, 0.001, 0.0011)
+        result, cert = infinite_upper_bound(model, 2.0, 1.9999, 5.0)
+        assert (result.bits, cert.effective_dimension) == (0.0, 0)
+        with pytest.raises(ScanCapExceeded):
+            infinite_upper_bound(model, 2.0, 1.9999, 0.5)
+
+    def test_trivial_cover_takes_one_tail_sum(self):
+        counted = Forwarding(Canonical(2.0, 1.0))
+        result, cert = infinite_upper_bound(counted, INF, 2.0, 5.0)
+        assert (result.bits, cert.effective_dimension) == (0.0, 0)
+        assert counted.tail_calls == 1
+
+
 class TestOmegaLattice:
     def test_matches_brute_force(self):
         for dbar, k, gamma in [(9, 1, 1.0), (4, 2, 1.0), (3, 1, 1.2)]:
@@ -278,6 +463,14 @@ class TestMixedBounds:
     def test_eps_above_mu1_rejected(self):
         with pytest.raises(EntropyError):
             mixed_upper_bound(self.spec(), 1.5)
+
+    def test_complete_table_above_eps_has_an_empty_residual(self):
+        # every axis of the complete table lies above eps, so both blocks
+        # are covered and nothing lies past the table
+        up, cert = mixed_upper_bound(self.spec(), 0.1)
+        assert cert.block_sizes == (9, 9)
+        assert cert.tail_radius == 0.0
+        assert mixed_lower_bound(self.spec(), 0.1).bits <= up.bits
 
     def test_cut_is_the_last_axis_above_eps(self):
         # every axis of the complete table lies above eps, so the cut is the

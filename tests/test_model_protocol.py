@@ -1,8 +1,8 @@
 """The algorithms read a model only through the eight protocol members.
 
-``Forwarding`` wraps a model of any family and exposes nothing but those
-members; it is not a subclass of any family.  Every entry point must give
-it the same results, bit for bit, as the model it wraps.
+``forwarding.Forwarding`` wraps a model of any family and exposes nothing
+but those members; it is not a subclass of any family.  Every entry point
+must give it the same results, bit for bit, as the model it wraps.
 """
 
 import ast
@@ -29,43 +29,9 @@ from ellentropy.sequences import (
     tail_power_sum,
 )
 
+from forwarding import Forwarding
+
 INF = math.inf
-
-
-class Forwarding:
-    """A semi-axis model known only through the protocol members."""
-
-    __slots__ = ("_model",)
-
-    def __init__(self, model):
-        self._model = model
-
-    @property
-    def decay_index(self):
-        return self._model.decay_index
-
-    @property
-    def length(self):
-        return self._model.length
-
-    @property
-    def rising_head(self):
-        return self._model.rising_head
-
-    def axis(self, n):
-        return self._model.axis(n)
-
-    def monotone_start(self, e=0.0):
-        return self._model.monotone_start(e)
-
-    def last_exceeding(self, start, t):
-        return self._model.last_exceeding(start, t)
-
-    def tail_power_sum(self, d, theta):
-        return self._model.tail_power_sum(d, theta)
-
-    def log_product(self, d):
-        return self._model.log_product(d)
 
 
 MODELS = [

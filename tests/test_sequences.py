@@ -20,6 +20,7 @@ from ellentropy.sequences import (
     cesaro_log_ratio,
     counting,
     ensure_non_increasing,
+    last_passing,
     log_product,
     model_from_json,
     passing,
@@ -177,6 +178,37 @@ INF = math.inf
 
 def _effective_dimension_sup(model, eps):
     return effective_dimension(model, INF, INF, eps)
+
+
+class TestLastPassing:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.integers(0, 50),
+        length=st.integers(0, 10**6),
+        span=st.one_of(st.none(), st.integers(0, 10**6)),
+        near=st.one_of(st.none(), st.integers(-10, 2 * 10**6)),
+    )
+    def test_any_guess_finds_the_prefix_end(self, lo, length, span, near):
+        # the indices up to lo + length pass; a search from any guess finds
+        # the end in (lo, hi], testing only indices there, and within
+        # O(log |answer - guess|) tests
+        end, hi = lo + length, None if span is None else lo + span
+        tested = []
+
+        def passes(n):
+            tested.append(n)
+            return n <= end
+
+        found = last_passing(passes, lo, hi, near)
+        assert found == (end if hi is None else min(end, hi))
+        assert all(lo < n <= (n if hi is None else hi) for n in tested)
+        guess = lo if near is None else max(lo, near if hi is None else min(near, hi))
+        assert len(tested) <= 2 * math.log2(abs(found - guess) + 1) + 3
+
+    def test_default_guess_is_the_gallop_from_lo(self):
+        tested = []
+        last_passing(lambda n: tested.append(n) or n <= 12, 0)
+        assert tested == [1, 3, 7, 15, 11, 13, 12]
 
 
 class TestPassing:
