@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 from .constants import LN2, ExponentLike, as_exponent, gamma_pq
 from .errors import EntropyError, NonCompactRegime, ScanCapExceeded, UnsupportedCorner
 from .numerics import Threshold, _check_radius, kahan_sum
-from .sequences import AXIS_CAP, SemiAxisModel, passing
+from .sequences import SemiAxisModel, passing
 
 NONCOMPACT_A = "NonCompact_a"
 NONCOMPACT_B = "NonCompact_b"
@@ -241,15 +241,20 @@ def entropy_estimator(model: SemiAxisModel, eps: float) -> float:
     Reproduces the p = q = 2 asymptotic orders; the reference level eps
     (instead of mu_{d*}) changes the value by O(1) only.  d* is the last
     index ``passing`` finds, as for ``counting``.  The sum is the midpoint
-    of the model's log-product enclosure minus d* log2 eps.
+    of the model's log-product enclosure minus d* log2 eps; a sum that
+    leaves the float range raises ScanCapExceeded.
     """
     _check_radius(eps)
     d_star = passing(model, Threshold(1, eps)).last
-    if d_star > AXIS_CAP:
-        raise ScanCapExceeded(f"d* = {d_star} exceeds the cap {AXIS_CAP}")
     if d_star == 0:
         return 0.0
-    return model.log_product(d_star).mid - d_star * math.log2(eps)
+    try:
+        value = model.log_product(d_star).mid - d_star * math.log2(eps)
+    except OverflowError:  # lgamma(d* + 1)
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScanCapExceeded(f"the sum over d* = {d_star:.3g} axes leaves the float range")
+    return value
 
 
 def effective_dimension(
@@ -270,10 +275,7 @@ def effective_dimension(
             f"d^(1/q-1/p) mu_d grows without bound: decay index b = {b} "
             f"is below 1/q - 1/p = {e}"
         )
-    last = passing(model, Threshold(1, eps), e).last
-    if last > AXIS_CAP:
-        raise ScanCapExceeded(f"effective dimension {last} exceeds the cap {AXIS_CAP}")
-    return last
+    return passing(model, Threshold(1, eps), e).last
 
 
 def sum_expansion_check(

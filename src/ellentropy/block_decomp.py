@@ -3,13 +3,17 @@
 The workhorse is block decomposition: split the semi-axes into finite
 blocks plus an infinite residual, cover each finite block, and absorb the
 residual into the covering radius.  The residual's q-norm reach is the
-tail radius alpha_d, with three regimes:
+tail radius alpha_d, with two regimes:
 
   case I   (p <= q):               alpha_d = mu_{d+1};
   case II  (p/(pb+1) < q < p):     alpha_d = (sum_{n>d} mu_n^theta)^(1/q-1/p),
                                    theta = q / (1 - q/p), certified through
-                                   the upper end of the tail power sum;
-  case III (q = p/(pb+1), summable): alpha_d = (sum_{n>d} mu_n^(1/b))^b.
+                                   the upper end of the tail power sum.
+
+The critical line q = p/(pb+1) would need sum_{n>d} mu_n^(1/b) to
+converge, and for every model family here it diverges (n mu_n^(1/b)
+tends to c^(1/b) > 0), so the residual is not compact there.  A complete
+table has an empty residual past its end, and is case II at every q < p.
 
 Combined radii maximize the weighted q-combination over a finite weight
 set Omega.  Mixed ellipsoids (an outer weighted l2 norm over inner l2
@@ -51,10 +55,11 @@ from .sequences import (
 
 CASE_I = "I"
 CASE_II = "II"
-CASE_III = "III"
 
-_DIM_SCAN_CAP = 10**7
-_LOG_CAP = math.log(_DIM_SCAN_CAP + 0.5)
+# The largest cut dimension: past 2**53, float(d) rounds, and mu_d, d**e
+# and the case-I tail radius would need widening for it.
+_CUT_LIMIT = 2**53
+_LOG_LIMIT = math.log(_CUT_LIMIT + 0.5)
 
 
 @dataclass(frozen=True)
@@ -93,47 +98,12 @@ class MixedEllipsoidSpec:
             raise EntropyError("block dimensions must be >= 1")
 
 
-def _intrinsic_b(model: SemiAxisModel, b: float) -> None:
-    known = model.decay_index
-    if known is not None and not math.isclose(known, b, rel_tol=1e-12):
-        raise EntropyError(
-            f"model decays with index {known}, not the requested b={b}"
-        )
-
-
-def tail_radius(
-    model: SemiAxisModel,
-    d: int,
-    p: ExponentLike,
-    q: ExponentLike,
-    b: float,
-    case: str,
-) -> float:
-    """The certified q-norm reach alpha_d of the residual block past index d."""
+def tail_radius(model: SemiAxisModel, d: int, p: ExponentLike, q: ExponentLike) -> float:
+    """The certified q-norm reach alpha_d of the residual block past index d,
+    in the case ``_pick_case`` selects (NonCompactRegime on and below the
+    critical line)."""
     p, q = as_exponent(p), as_exponent(q)
-    rp, rq = p.reciprocal(), q.reciprocal()
-    if case == CASE_I:
-        if rp < rq:
-            raise EntropyError("case I requires p <= q")
-        return _next_axis(model, d)
-    if b <= 0:
-        raise EntropyError("decay index b must be positive")
-    _intrinsic_b(model, b)
-    if case == CASE_II:
-        # p/(pb+1) < q < p, i.e. 0 < 1/q - 1/p < b.
-        if not rq > rp:
-            raise EntropyError("case II requires q < p")
-        if not rq - rp < b:
-            raise EntropyError("case II requires q > p/(pb+1)")
-        theta = 1.0 / (rq - rp)  # equals q (1 - q/p)^{-1}
-        return tail_power_sum(model, d, theta).hi ** (rq - rp)
-    if case == CASE_III:
-        if not math.isclose(rq - rp, b, rel_tol=1e-12):
-            raise EntropyError("case III requires q = p/(pb+1)")
-        # Raises DivergentTail whenever sum mu_n^(1/b) = infinity, which is
-        # every canonical law (n * mu_n^(1/b) = c^(1/b) stays positive).
-        return tail_power_sum(model, d, 1.0 / b).hi ** b
-    raise EntropyError(f"unknown tail case {case!r}")
+    return _tail_radii(model, _pick_case(model, p, q), q.reciprocal() - p.reciprocal())(d)
 
 
 def combined_radius(plan: BlockPlan, q: ExponentLike) -> float:
@@ -206,7 +176,7 @@ def _ln(x: float) -> float:
 def _cut(model, case: str, tail_at, power: float, eps: float, target: float) -> int:
     """The cut dimension of ``infinite_upper_bound``: 0 when alpha_0 <= eps,
     else the smallest d with alpha_d <= target, where a result past
-    ``_DIM_SCAN_CAP`` only says that none up to the cap is.  The radii
+    ``_CUT_LIMIT`` only says that none up to the limit is.  The radii
     alpha_d do not rise, so the d with alpha_d > target form a prefix and
     every search that brackets its end finds the same cut.
 
@@ -230,8 +200,8 @@ def _cut(model, case: str, tail_at, power: float, eps: float, target: float) -> 
     puts in the head, which follows no law (a table's head, a rising
     head), is searched for there from 0; a complete table is searched from
     0 throughout, its radii past the table being 0 for free.  A
-    prediction past the cap tests the cap first, which settles
-    ScanCapExceeded in one evaluation when alpha_cap > eps.
+    prediction past the limit tests the limit first, which settles
+    ScanCapExceeded in one evaluation when alpha_limit > eps.
     """
     if case == CASE_I:
         return 0 if tail_at(0) <= eps else passing(model, Threshold(1, target)).last
@@ -240,27 +210,27 @@ def _cut(model, case: str, tail_at, power: float, eps: float, target: float) -> 
         return tail_at(n) > target
 
     if model.length is not None:
-        return 0 if tail_at(0) <= eps else last_passing(passes, 0, _DIM_SCAN_CAP) + 1
+        return 0 if tail_at(0) <= eps else last_passing(passes, 0, _CUT_LIMIT) + 1
     b = model.decay_index
     gamma, s = b - power, b * (1.0 / power)  # s as the tail sums compute it
     log_t = _ln(target)
 
     def probe(u: float) -> int:
-        # the predicted last passing index, ceil(x) - 1; the cap for nan
-        return math.ceil(math.exp(u) - 1.5) if u < _LOG_CAP else _DIM_SCAN_CAP
+        # the predicted last passing index, ceil(x) - 1; the limit for nan
+        return math.ceil(math.exp(u) - 1.5) if u < _LOG_LIMIT else _CUT_LIMIT
 
     def seed(m: int) -> float:
-        # s <= 1 gives the cap, where the tail sum raises DivergentTail
+        # s <= 1 gives the limit, where the tail sum raises DivergentTail
         return (_ln(axis(model, m)) + b * math.log(m) - power * _ln(s - 1.0) - log_t) / gamma
 
     m = _law_start(model)
     u = seed(m)
-    u = seed(max(m, min(probe(u) + 1, _DIM_SCAN_CAP)))
-    if probe(u) >= _DIM_SCAN_CAP and tail_at(_DIM_SCAN_CAP) > eps:
-        return _DIM_SCAN_CAP + 1  # alpha_0 >= alpha_cap > eps
+    u = seed(max(m, min(probe(u) + 1, _CUT_LIMIT)))
+    if probe(u) >= _CUT_LIMIT and tail_at(_CUT_LIMIT) > eps:
+        return _CUT_LIMIT + 1  # alpha_0 >= alpha_limit > eps
     if tail_at(0) <= eps:
         return 0
-    lo, fail = 0, _DIM_SCAN_CAP + 1
+    lo, fail = 0, _CUT_LIMIT + 1
     if probe(u) < m - 1:
         lo = last_passing(passes, 0, m - 1)
         if lo < m - 1:
@@ -294,12 +264,13 @@ def infinite_upper_bound(
 
     The cut dimension d is the smallest one whose tail radius is at most
     eps 2^(-1/q) (the equal-q-power split; the full eps when q is the sup
-    norm), up to ``_DIM_SCAN_CAP``.  In case I it is the last index with
-    mu_n above that radius, found by the model's own search; in case II a
-    few tail evaluations placed by the power law of the tail radius find
-    it (see ``_cut``).  The finite block is then covered at the
-    complementary radius through the density bound, with eta set to the
-    smallest admissible value.
+    norm).  In case I it is the last index with mu_n above that radius,
+    found by the model's own search; in case II a few tail evaluations
+    placed by the power law of the tail radius find it (see ``_cut``).
+    The finite block is then covered at the complementary radius through
+    the density bound, with eta set to the smallest admissible value.  A
+    cut past 2**53, where float(d) rounds and the bound is no longer
+    certified, raises ScanCapExceeded.
     """
     p, q = as_exponent(p), as_exponent(q)
     _check_radius(eps)
@@ -308,9 +279,10 @@ def infinite_upper_bound(
     tail_at = _tail_radii(model, case, rq - rp)
     target = eps * 2.0 ** (-rq)
     d = _cut(model, case, tail_at, rq - rp, eps, target)
-    if d > _DIM_SCAN_CAP:
+    if d > _CUT_LIMIT:
         raise ScanCapExceeded(
-            f"no dimension up to {_DIM_SCAN_CAP} brings the tail under {target}"
+            f"no dimension up to 2**53, where float(d) stops being exact, "
+            f"brings the tail under {target}"
         )
     alpha = tail_at(d)
     if d == 0:

@@ -29,8 +29,10 @@ class EnumerationTooLarge(EntropyError):
 
 
 class ScanCapExceeded(EntropyError):
-    """An index search found more indices than its entry point's cap, or
-    cannot end inside the float range."""
+    """An answer lies past what its entry point computes: more axes to
+    visit one by one than ``sequences.AXIS_CAP``, an index or a sum past
+    the float range, or a block cut past 2**53, where float(d) stops
+    being exact."""
 
 
 class RadiusOutOfRange(EntropyError):

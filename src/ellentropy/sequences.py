@@ -35,9 +35,10 @@ from .constants import _EM_WEIGHTS, LN2, _hurwitz_tail
 from .errors import DivergentTail, IndexBeyondTable, InvalidModel, ScanCapExceeded
 from .numerics import Interval, Threshold, _check_radius, kahan_sum
 
-# Largest effective dimension d* an entry point computes: the exact entropy,
-# the estimator and the effective dimension raise ScanCapExceeded when
-# d* > AXIS_CAP.  The searches themselves are not capped.
+# Most axes a computation visits one by one: the exact entropy's runs and
+# the per-axis fallback of a two-term log-product raise ScanCapExceeded
+# past it.  Searches and closed forms, whose work does not grow with the
+# index, are not capped.
 AXIS_CAP = 10**8
 
 
@@ -500,12 +501,17 @@ class TwoTermPolynomial:
         so the sum is the canonical closed form of (alpha1, c1), plus
         log1p(y_n) / ln 2 summed over the head, plus a series for the axes
         past it (see ``_split_log_product``).  The per-axis sum stays the
-        fallback where that series does not converge.
+        fallback where that series does not converge; past ``AXIS_CAP``
+        axes it raises ScanCapExceeded instead.
         """
         if d > _HEAD_TERMS:
             split = self._split_log_product(d)
             if split is not None:
                 return split
+        if d > AXIS_CAP:
+            raise ScanCapExceeded(
+                f"a per-axis log-product over {d} axes exceeds the cap {AXIS_CAP}"
+            )
         largest = self.c1 + max(self.c2, 0.0)
         smallest = min(self.axis(1), self.axis(d))
         return _log2_sum(map(self.axis, range(1, d + 1)), d, largest, smallest)

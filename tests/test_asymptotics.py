@@ -188,16 +188,30 @@ class TestEstimator:
     def test_zero_above_mu1(self):
         assert entropy_estimator(Canonical(1, 1), 2.0) == 0.0
 
-    @pytest.mark.parametrize("model,eps", [
-        (Canonical(0.5, 1), 1e-5),  # d* = 10^10
-        (Canonical(0.005, 1), 1e-3),  # d* overflows the closed form
-        (Tabulated((1.0,), Canonical(0.5, 1)), 1e-5),
-    ])
-    def test_cap_raises_without_scanning(self, model, eps):
+    @pytest.mark.parametrize("model", [
+        Canonical(0.5, 1),
+        Tabulated((1.0,), Canonical(0.5, 1)),
+    ], ids=repr)
+    def test_far_d_star_answers_without_scanning(self, model):
+        # d* = 10^10 - 1, past the 10^8 axes an exact entropy visits
         start = time.perf_counter()
-        with pytest.raises(ScanCapExceeded):
-            entropy_estimator(model, eps)
+        value = entropy_estimator(model, 1e-5)
         assert time.perf_counter() - start < 1.0
+        d_star = 10**10 - 1
+        assert axis(model, d_star) > 1e-5 >= axis(model, d_star + 1)
+        assert value == model.log_product(d_star).mid - d_star * math.log2(1e-5)
+
+    def test_d_star_past_the_float_range_raises_without_scanning(self):
+        # d* = 10^600 overflows the closed form
+        start = time.perf_counter()
+        with pytest.raises(ScanCapExceeded, match="float range"):
+            entropy_estimator(Canonical(0.005, 1), 1e-3)
+        assert time.perf_counter() - start < 1.0
+
+    def test_sum_past_the_float_range_raises(self):
+        # d* = 10^305.5 is a float, but lgamma(d* + 1) is not
+        with pytest.raises(ScanCapExceeded, match="float range"):
+            entropy_estimator(Canonical(3 / 305.5, 1), 1e-3)
 
     def test_rising_head_sets_d_star(self):
         # mu = 0.1, 0.2238, 0.2226, ... falls from n = 3 on; at eps between

@@ -9,7 +9,6 @@ from ellentropy import block_decomp
 from ellentropy.block_decomp import (
     CASE_I,
     CASE_II,
-    CASE_III,
     BlockPlan,
     MixedEllipsoidSpec,
     combined_radius,
@@ -19,7 +18,7 @@ from ellentropy.block_decomp import (
     omega_lattice_count,
     tail_radius,
 )
-from ellentropy.errors import DivergentTail, EntropyError, NonCompactRegime, ScanCapExceeded
+from ellentropy.errors import EntropyError, NonCompactRegime, ScanCapExceeded
 from ellentropy.finite_bounds import _density_upper_bound
 from ellentropy.hyperrect import exact_entropy
 from ellentropy.sequences import (
@@ -55,25 +54,18 @@ class TestCombinedRadius:
 
 class TestTailRadius:
     def test_case_one_is_next_axis(self):
-        assert tail_radius(Canonical(1, 1), 10, INF, INF, 1.0, CASE_I) == axis(
-            Canonical(1, 1), 11
-        )
+        assert tail_radius(Canonical(1, 1), 10, INF, INF) == axis(Canonical(1, 1), 11)
 
-    def test_case_three_rejects_canonical(self):
-        # n mu_n^(1/b) = c^(1/b) stays positive, so the sum diverges
-        with pytest.raises(DivergentTail):
-            tail_radius(Canonical(1, 1), 10, INF, 1.0, 1.0, CASE_III)
-        with pytest.raises(DivergentTail):
-            tail_radius(Canonical(0.5, 1.0), 5, INF, 2.0, 0.5, CASE_III)
-
-    def test_case_three_regime_guard(self):
-        with pytest.raises(EntropyError):
-            tail_radius(Canonical(1, 1), 10, INF, 2.0, 1.0, CASE_III)  # q != 1/b
+    def test_critical_line_is_not_compact(self):
+        # q = p/(pb+1): n mu_n^(1/b) = c^(1/b) stays positive, so the sum
+        # that case III would need diverges
+        with pytest.raises(NonCompactRegime):
+            tail_radius(Canonical(1, 1), 10, INF, 1.0)
 
     def test_case_two_value(self):
         # p = inf, q = 2, b = 1: theta = 2, alpha_d = sqrt(upper tail sum)
         model = Canonical(1, 1)
-        alpha = tail_radius(model, 10, INF, 2.0, 1.0, CASE_II)
+        alpha = tail_radius(model, 10, INF, 2.0)
         assert alpha == pytest.approx(math.sqrt(tail_power_sum(model, 10, 2.0).hi), rel=1e-14)
 
     def test_case_two_bounds_sampled_tail_vectors(self):
@@ -82,7 +74,7 @@ class TestTailRadius:
         model = Canonical(1, 1)
         d, window = 10, 400
         mu = np.array([axis(model, n) for n in range(d + 1, d + window + 1)])
-        alpha = tail_radius(model, d, INF, 2.0, 1.0, CASE_II)
+        alpha = tail_radius(model, d, INF, 2.0)
         for _ in range(1000):
             x = rng.uniform(-1.0, 1.0, size=window) * mu  # sup-ellipsoid member
             assert float(np.linalg.norm(x)) <= alpha + 1e-12
@@ -94,15 +86,11 @@ class TestTailRadius:
         model = Canonical(1, 1)
         d, window = 4, 50
         mu = np.array([axis(model, n) for n in range(d + 1, d + window + 1)])
-        alpha = tail_radius(model, d, 2.0, 2.0, 1.0, CASE_I)
+        alpha = tail_radius(model, d, 2.0, 2.0)
         for _ in range(1000):
             raw = rng.normal(size=window)
             unit = raw / np.linalg.norm(raw / mu)  # ellipsoid norm exactly 1
             assert float(np.linalg.norm(unit)) <= alpha + 1e-12
-
-    def test_mismatched_decay_rejected(self):
-        with pytest.raises(EntropyError):
-            tail_radius(Canonical(2, 1), 3, INF, 2.0, 1.0, CASE_II)
 
 
 class TestInfiniteUpperBound:
@@ -206,10 +194,10 @@ class TestInfiniteUpperBound:
 
 def _gallop_cut(model, case, tail_at, power, eps, target):
     """The cut search the seeded one replaced: a gallop from 0 and a
-    bisection up to the cap, whatever the case."""
+    bisection up to the limit, whatever the case."""
     if tail_at(0) <= eps:
         return 0
-    return last_passing(lambda n: tail_at(n) > target, 0, block_decomp._DIM_SCAN_CAP) + 1
+    return last_passing(lambda n: tail_at(n) > target, 0, block_decomp._CUT_LIMIT) + 1
 
 
 def _bound(model, p, q, eps):
@@ -230,7 +218,7 @@ def _tail_sums(model, p, q, eps):
 
 class TestSeededCut:
     # 0.63 down to 1e-4: far past the radii of the golden bound cells, so
-    # cuts run up to and past the 10**7 cap (the slow tail's q < p cells)
+    # cuts run deep, and past the 2**53 limit on the slow tail's q < p cells
     RADII = tuple(0.63 * (1e-4 / 0.63) ** (k / 8) for k in range(9))
 
     # small cuts that a seed easily overshoots: two-term laws whose second
@@ -329,8 +317,8 @@ class TestSeededCut:
                 continue
             # the radius whose target is alpha_d, so that the cut is d,
             # unless it covers the whole body in one ball
-            eps = tail_radius(model, d, p, q, b, CASE_II) * 2.0 ** (1 / q)
-            if eps >= tail_radius(model, 0, p, q, b, CASE_II):
+            eps = tail_radius(model, d, p, q) * 2.0 ** (1 / q)
+            if eps >= tail_radius(model, 0, p, q):
                 continue
             counted = Forwarding(model)
             _, cert = infinite_upper_bound(counted, p, q, eps)
@@ -353,7 +341,7 @@ class TestSeededCut:
 
     def test_cap_settled_by_one_tail_sum(self):
         # 1/q - 1/p = 2/3 leaves gamma = 0.001 on the slow tail: alpha at
-        # the cap is still about 0.72, above every radius here
+        # the 2**53 limit is still about 0.72, above every radius here
         model = GOLDEN_MODELS["slow-tail"][0]
         for eps in (0.63, 0.1, 0.01, 1e-4):
             counted = Forwarding(model)

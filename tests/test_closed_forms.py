@@ -19,13 +19,20 @@ import time
 import mpmath
 import per_axis_reference as ref
 import pytest
+from forwarding import Forwarding
 from test_golden import EXPONENTS, MODELS, RADII
 
 from ellentropy.asymptotics import effective_dimension, entropy_estimator
 from ellentropy.block_decomp import infinite_upper_bound
-from ellentropy.constants import as_exponent
+from ellentropy.constants import as_exponent, volume_ratio
 from ellentropy.errors import EntropyError, ScanCapExceeded
-from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial, cesaro_log_ratio
+from ellentropy.sequences import (
+    AXIS_CAP,
+    Canonical,
+    Tabulated,
+    TwoTermPolynomial,
+    cesaro_log_ratio,
+)
 
 INF = math.inf
 CUTS = (1, 2, 3, 10, 41, 100, 10**3, 1024, 1025, 10**4, 10**5, 10**6)
@@ -200,19 +207,106 @@ def test_effective_dimension_raises_at_once_on_a_far_peak(model):
     assert time.perf_counter() - start < 1.0
 
 
-def test_effective_dimension_raises_at_once_past_the_cap():
-    # the answer is about 10^10, past the 10^8 cap
+def test_effective_dimension_of_ten_billion_returns_at_once():
+    # d^(1/2) / d > 1e-5 up to d = 10^10, past the 10^8 axes an exact
+    # entropy visits
     start = time.perf_counter()
-    with pytest.raises(ScanCapExceeded):
-        effective_dimension(Canonical(1, 1), 2, 1, 1e-5)
+    assert effective_dimension(Canonical(1, 1), 2, 1, 1e-5) == 9_999_999_999
     assert time.perf_counter() - start < 1.0
 
 
-def test_block_cut_reaches_the_dimension_cap():
-    # the tail mu_{d+1} = 1/(d+1) drops to 1e-7 at d = 10^7 - 1, below the
-    # 10^7 cut cap
+def test_block_cut_reaches_a_billion():
+    # the tail mu_{d+1} = 1/(d+1) drops to 1e-9 at d = 10^9 - 1
     _, cert = infinite_upper_bound(Canonical(1, 1), INF, INF, 1e-7)
     assert cert.effective_dimension == 9_999_999
+    _, cert = infinite_upper_bound(Canonical(1, 1), INF, INF, 1e-9)
+    assert cert.effective_dimension == 999_999_999
+
+
+# (p, q) with 1/q - 1/p exact in floats: the rounding of the float
+# exponent e would move an answer near 10^15 by many units
+DYADIC_PAIRS = ((2.0, 2.0), (INF, 2.0), (2.0, 1.0), (INF, 1.0), (1.0, INF), (INF, INF), (1.0, 2.0))
+
+
+def _scale(c, level, slope):
+    """(c / level)**(1 / slope), the real crossing of a canonical law, to 40
+    digits."""
+    with mpmath.workdps(40):
+        return float((mpmath.mpf(c) / level) ** (1 / mpmath.mpf(slope)))
+
+
+def test_answers_past_the_axis_cap_follow_the_scale_law():
+    # d^e c d^-b > eps for d < x = (c/eps)^(1/(b-e)), and the case-I cut is
+    # the last d with c d^-b > eps 2^(-1/q); x is near a half-integer
+    # between 10^8 and 10^15, so the exact search lies within 1 of it
+    checked = 0
+    for (b, c), (p, q), x in itertools.product(
+        ((1.0, 1.0), (2.0, 0.5), (0.75, 3.0), (1.5, 0.7)),
+        DYADIC_PAIRS,
+        (1.37e8 + 0.5, 2.9e10 + 0.5, 4.4e12 + 0.5, 6.1e14 + 0.5),
+    ):
+        e = 1 / q - 1 / p
+        if b - e < 0.5:
+            continue
+        model = Canonical(b, c)
+        eps = c * x ** -(b - e)
+        scale = _scale(c, eps, b - e)
+        assert abs(effective_dimension(model, p, q, eps) - scale) <= 1, (b, p, q, x)
+        checked += 1
+        cut = _scale(c, eps * 2.0 ** (-1 / q), b)
+        if p <= q and cut < 1e15:
+            _, cert = infinite_upper_bound(model, p, q, eps)
+            assert abs(cert.effective_dimension - cut) <= 1, (b, p, q, x)
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize(
+    "model, p, q, eps",
+    [
+        (Canonical(1, 1), 2.0, 1.0, 1e-5),  # case II, d = 4e10
+        (Canonical(1, 1), INF, INF, 1e-9),  # d = 1e9
+        (Canonical(2, 0.5), 2.0, 2.0, 1e-17),  # d = 2.7e8
+        (TwoTermPolynomial(1.0, -0.3, 1.6, 2.1), 1.5, 1.5, 1e-14),  # d = 7.5e8
+        (MODELS["slow-tail"][0], 2.0, 2.0, 1e-8),  # d = 1.6e9
+        (MODELS["slow-tail"][0], 3.0, 2.0, 1e-6),  # case II, d = 1.3e8
+    ],
+    ids=[
+        "canonical-2-1",
+        "canonical-inf-inf",
+        "canonical-b2",
+        "two-term",
+        "slow-tail-2-2",
+        "slow-tail-3-2",
+    ],
+)
+def test_bound_past_the_axis_cap_covers_its_own_section(model, p, q, eps):
+    # covering the body at eps covers its d-dimensional section, which
+    # needs at least vol(section) / vol(eps B_q) balls
+    result, cert = infinite_upper_bound(model, p, q, eps)
+    d = cert.effective_dimension
+    assert d > 10**8
+    volume = d * (
+        math.log2(volume_ratio(p, q, d)) + model.log_product(d).lo / d - math.log2(eps)
+    )
+    assert 0 < volume <= result.bits
+
+
+def test_block_cut_past_2_53_raises_after_one_tail_sum():
+    # gamma = b - (1/q - 1/p) = 0.1 puts the cut near 3.2e26
+    counted = Forwarding(Canonical(0.6, 1))
+    with pytest.raises(ScanCapExceeded, match=r"2\*\*53"):
+        infinite_upper_bound(counted, 2, 1, 0.01)
+    assert counted.tail_calls == 1
+
+
+def test_two_term_per_axis_fallback_raises_at_once_past_the_axis_cap():
+    # the series past the head needs more than 64 terms at x = 0.88, so the
+    # log-product falls back to a per-axis sum, 77 ms per 10^5 axes
+    start = time.perf_counter()
+    with pytest.raises(ScanCapExceeded):
+        TwoTermPolynomial(1, 900, 1, 2).log_product(AXIS_CAP + 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_effective_dimension_raises_at_once_without_an_answer():

@@ -201,6 +201,8 @@ class TestRisingHead:
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         code = textwrap.dedent(
             """
+            import math
+
             from ellentropy.asymptotics import entropy_estimator
             from ellentropy.errors import ScanCapExceeded
             from ellentropy.hyperrect import exact_entropy, exact_entropy_counting
@@ -212,7 +214,12 @@ class TestRisingHead:
             n = counting(m, 0.05)
             assert n > 10**100 and m.axis(n) > 0.05 >= m.axis(n + 1)
             assert counting(m, 0.05, 3) < n
-            for f in (exact_entropy, exact_entropy_counting, entropy_estimator):
+            # the estimator reads the log-product's closed form, the exact
+            # entropy would visit every axis
+            value = entropy_estimator(m, 0.05)
+            assert 0 < value < math.inf
+            assert value == m.log_product(n).mid - n * math.log2(0.05)
+            for f in (exact_entropy, exact_entropy_counting):
                 try:
                     f(m, 0.05)
                 except ScanCapExceeded:

@@ -269,18 +269,20 @@ class TestPassing:
             entry(model, eps)
         assert time.perf_counter() - start < 1.0
 
-    def test_cap_is_d_star_above_axis_cap(self):
+    def test_axis_cap_binds_only_the_exact_entropy(self):
         # c/n > 1 exactly for n <= 10**8 at c = 1e8 + 0.5, and 10**8 + 1
-        # at c = 1e8 + 1.5
+        # at c = 1e8 + 1.5; the estimator and the effective dimension visit
+        # no axis one by one, so they answer past the cap
         at, past = Canonical(1.0, 1e8 + 0.5), Canonical(1.0, 1e8 + 1.5)
         assert counting(at, 1.0) == AXIS_CAP
         assert exact_entropy(at, 1.0).effective_dim == AXIS_CAP
         assert entropy_estimator(at, 1.0) == at.log_product(AXIS_CAP).mid
         assert _effective_dimension_sup(at, 1.0) == AXIS_CAP
         assert counting(past, 1.0) == AXIS_CAP + 1
-        for entry in (exact_entropy, entropy_estimator, _effective_dimension_sup):
-            with pytest.raises(ScanCapExceeded):
-                entry(past, 1.0)
+        with pytest.raises(ScanCapExceeded):
+            exact_entropy(past, 1.0)
+        assert entropy_estimator(past, 1.0) == past.log_product(AXIS_CAP + 1).mid
+        assert _effective_dimension_sup(past, 1.0) == AXIS_CAP + 1
 
 
 class TestLogProduct:
