@@ -248,10 +248,7 @@ def entropy_estimator(model: SemiAxisModel, eps: float) -> float:
     d_star = passing(model, Threshold(1, eps)).last
     if d_star == 0:
         return 0.0
-    try:
-        value = model.log_product(d_star).mid - d_star * math.log2(eps)
-    except OverflowError:  # lgamma(d* + 1)
-        value = math.inf
+    value = model.log_product(d_star).mid - d_star * math.log2(eps)
     if not math.isfinite(value):
         raise ScanCapExceeded(f"the sum over d* = {d_star:.3g} axes leaves the float range")
     return value

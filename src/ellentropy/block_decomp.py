@@ -129,11 +129,7 @@ def _pick_case(model: SemiAxisModel, p, q) -> str:
     # a complete finite table (b None) has an empty residual from d = length
     if b is None or rq - rp < b:
         return CASE_II
-    if math.isclose(rq - rp, b, rel_tol=1e-12):
-        raise NonCompactRegime(
-            "critical line q = p/(pb+1): canonical-type tails are not compact"
-        )
-    raise NonCompactRegime("q < p/(pb+1): the ellipsoid is not compact in lq")
+    raise NonCompactRegime("q <= p/(pb+1), on or below the critical line: not compact in lq")
 
 
 def _next_axis(model: SemiAxisModel, d: int) -> float:
@@ -247,7 +243,8 @@ def _cut(model, case: str, tail_at, power: float, eps: float, target: float) -> 
             return fail
         anchor, last = last, (math.log(n + 0.5), _ln(alpha))
         slope = gamma
-        if anchor[1] > last[1]:
+        # past 2**52 the logarithms of neighbouring probes can be equal
+        if anchor[1] > last[1] and last[0] > anchor[0]:
             slope = max(gamma, (anchor[1] - last[1]) / (last[0] - anchor[0]))
         u = last[0] + (last[1] - log_t) / slope
     return last_passing(passes, lo, fail - 1, near=probe(u)) + 1

@@ -15,23 +15,23 @@ supported:
 Each family implements the ``SemiAxisModel`` protocol: the primitives
 every algorithm reads a sequence through.  On top of them the module
 provides the threshold counting function M_k(t) = #{n : mu_n > k*t},
-certified partial log-products (in closed form for canonical laws; for
-two-term laws past a 1,024-axis head, through a series of finite power
-sums enclosed by the Euler-Maclaurin formula, so neither cost grows with
-d), certified enclosures of tail power sums (through a Hurwitz zeta
-enclosure built on the Euler-Maclaurin formula, so their cost does not
-grow with the cut), and the Cesaro mean of log(mu_n / mu_N).
+certified partial log-products (in closed form for canonical laws),
+certified enclosures of tail power sums, and the Cesaro mean of
+log(mu_n / mu_N).  One Euler-Maclaurin kernel, ``_power_sum``, encloses
+the power sums behind them, scaled at their first index; canonical tails
+scale it by c**theta a**(1-s), so their cost does not grow with the cut.
+Both two-term sums take the same head term by term, then one series of
+kernel values (``_series``), so neither cost grows with d.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, NamedTuple, Optional, Protocol
 
-from .constants import _EM_WEIGHTS, LN2, _hurwitz_tail
+from .constants import _EM_WEIGHTS, LN2
 from .errors import DivergentTail, IndexBeyondTable, InvalidModel, ScanCapExceeded
 from .numerics import Interval, Threshold, _check_radius, kahan_sum
 
@@ -144,14 +144,12 @@ def _log2_sum(values: Iterable[float], count: int, largest: float, smallest: flo
     return Interval(total - slack, total + slack)
 
 
-# A tail sum stops adding explicit terms once its Euler-Maclaurin
-# remainder is below this fraction of the value.
+# The kernel stops adding explicit terms once its rest is below this share.
 _EM_TARGET = 2.0**-46
-# Explicit head terms a two-term tail sum adds before its binomial series,
-# and the axes a two-term log-product sums one by one before its series.
+# Most explicit head terms a two-term tail sum or log-product adds before
+# its series, most terms of that series (which needs about 36/(1 - x) of
+# them as x nears 1), and the axes a two-term log-product sums one by one.
 _HEAD_TERMS = 1024
-# Largest number of series terms in a two-term tail sum or log-product.
-_SERIES_TERMS = 64
 
 
 def _outward(lo: float, hi: float) -> Interval:
@@ -160,123 +158,181 @@ def _outward(lo: float, hi: float) -> Interval:
     return Interval(max(0.0, math.nextafter(lo, -math.inf)), math.nextafter(hi, math.inf))
 
 
-def _scaled(z: Interval, factor: float) -> Interval:
-    """z times a positive factor computed within one ulp (a float power),
-    rounded outward; the 2**-1074 covers a factor that underflowed."""
-    err = 2.0**-50 * factor + 2.0**-1074
-    return _outward(z.lo * (factor - err), z.hi * (factor + err))
-
-
-def _powers_sum(terms: list, rel: float) -> Interval:
-    """Enclosure of the exact sum of values whose float powers are
-    ``terms``, each within ``rel`` relative (and 2**-1074 absolute, for an
-    underflowed term); math.fsum adds half an ulp."""
+def _powers_sum(values: Iterable[float], theta: float, rel: float) -> tuple:
+    """Enclosure (lo, hi) of the exact sum of v**theta over values v, each float
+    power within ``rel`` relative (2**-1074 where it underflows), math.fsum
+    within half an ulp; a power past the float range raises ScanCapExceeded."""
+    try:
+        terms = [v**theta for v in values]
+    except OverflowError as exc:
+        raise ScanCapExceeded(f"a power **{theta} of an axis passes the float range") from exc
     total = math.fsum(terms)
     slack = (rel + 2.0**-51) * total + len(terms) * 2.0**-1074
-    return Interval(total - slack, total + slack)
+    return total - slack, total + slack
 
 
-def _hurwitz(s: float, a: int, s_err: float) -> Interval:
-    """Certified enclosure of zeta(s', a) = sum_{n >= a} n**-s' for every
-    exponent s' within ``s_err`` of the float s > 1, with a >= 1.
+def _scaled_tail(z: tuple, c: float, alpha: float, a: int, theta: float) -> Interval:
+    """The kernel enclosure z = (lo, hi) at a times c**theta a**(1 - alpha
+    theta) = (c a**-e)**theta, e = alpha - 1/theta > 0, rounded outward:
+    the tail sum of the law c n**-alpha from a; ScanCapExceeded past the
+    float range.  The float base is within 2**-52 (2 + alpha (1 + ln a))
+    of itself (e within 2**-52 alpha, times ln a; pow within one ulp;
+    float(a) and the product within half of one), and 2**-1074 (c + 1)
+    where it underflows; the powers of its two ends, each within one ulp,
+    enclose the factor.  Each step is monotone in a, so the ends do not
+    rise with a.
+    """
+    base = c * float(a) ** -(alpha - 1.0 / theta)
+    err = 2.0**-52 * (2.0 + alpha * (1.0 + math.log(a))) * base + (c + 1.0) * 2.0**-1074
+    try:
+        hi = z[1] * math.nextafter((base + err) ** theta, math.inf)
+    except OverflowError as exc:
+        raise ScanCapExceeded(f"a tail power sum from index {a} passes the float range") from exc
+    return _outward(z[0] * math.nextafter(max(0.0, base - err) ** theta, 0.0), hi)
 
-    Explicit terms run from a up to a cut (none at first, then 16, then
-    doubled) until the Euler-Maclaurin remainder at the cut
-    (``constants._hurwitz_tail``) falls below 2**-46 of the value, or the
-    cut's own term underflows, which bounds the rest by
-    2**-1074 (1 + cut/(s-1)).  The corrections stop before their powers of
-    the cut leave the normal range.  The enclosure is the value plus or
-    minus:
 
-    * the remainder, which the first omitted correction bounds, since every
-      even derivative of x**-s is positive;
-    * the rounding of the formula, under 48 half-ulps of the sum of its
-      terms' sizes.  The correction sizes |c_i| fall and then rise (their
-      ratios increase with i), so their sum is at most 6 (|c_1| + remainder);
-    * the rounding of the explicit terms (pow within one ulp, fsum within
-      half of one) and 2**-1074 per term or step that underflowed;
-    * the exponent: d ln zeta(s', a)/ds' is minus the mean of ln n under
-      the weights n**-s', below ln(cut) + 1/(s'-1) + 1, so an exponent
-      error e moves the sum by a factor within
-      exp(+-e (ln(cut) + 1/(s-1-e) + 2)); the second + 1 covers float(n)
-      rounding past 2**53.  When s - e <= 1 the sum may diverge, and hi is
-      infinite.
+def _power_sum(s: float, a: int, b, s_err: float) -> tuple:
+    """Certified enclosure (lo, hi) of sum_{n=a..b} (n/a)**-s' / a for every
+    exponent s' within ``s_err`` of the float s > 0, with b >= a >= 1, or
+    b = inf and s > 1: the one kernel of the tail sums and two-term series,
+    scaled at a so that its terms stay in the float range, and per unit of
+    a so that at b = inf it falls with a towards 1/(s-1).
+
+    Explicit terms run from a up to a cut c (up to 16 at first, then 16,
+    then doubled, never past b) until a bound on the rest past c falls
+    below 2**-46 of the value.  One is the Euler-Maclaurin formula over
+    [c, b] per unit of c (L = ln(b/c), weights w_i of ``_EM_WEIGHTS``),
+    times (c/a)**-s c/a:
+
+        expm1((1-s) L)/(1-s)  (L at s = 1)  +  ((1 + (b/c)**-s)/2
+          + sum_i w_i s(s+1)...(s+2i) c**(-1-2i) (1 - (c/b)**(s+1+2i))) / c;
+
+    every even derivative of x**-s is positive, so the first omitted
+    correction bounds its remainder.  The other, for a large s, is
+    (c/a)**-s (1 + min(b - c, c/(s-1))), or (c/a)**-s (b - c + 1) for
+    s <= 1.  At c = a every part of the formula falls with a, and so do
+    the enclosure's ends.  They cover:
+
+    * each term (n/a)**-s, a power of a correctly rounded quotient, within
+      exp((s + 2) 2**-52) - 1 relative, and 2**-1074 where it underflows;
+    * L within 2**-52 (1 + L), which moves the integral by b (b/c)**-s
+      times that, and (b/c)**-s by s times that, relatively; 2**-50 of the
+      value covers the few roundings of each term and of the sum;
+    * 2**-46 (s + 16) of the corrections' sizes, for some 40 roundings of
+      their products and sum, and for each 1 - (c/b)**(s+1+2i) the error
+      of (b/c)**-s times s + 13 (L (c/b)**(s+1) <= 1 absorbs the 1 + L).
+      The sizes fall and then rise, so they add up to at most
+      6 (s/(12 c) + remainder);
+    * the exponent: the sum's derivative in s' is minus its mean of
+      ln(n/a), at most ln(b/a), and below ln(c/a) + 1/(s'-1) + 1 (less
+      over a finite range), so an error e moves the sum by a factor within
+      exp(+-e min(ln(b/a), ln(c/a) + 2 + 1/(s-1-e))).
     """
     terms: list = []
     cut = a
+    if a < 16:
+        terms = [(n / a) ** -s for n in range(a, min(16, b + 1))]
+        cut = 16
+    head = math.fsum(terms)
     while True:
-        head = math.fsum(terms)
-        first = float(cut) ** -s
-        if first == 0.0:
-            slack = 2.0**-1074 * (1.0 + cut / (s - 1.0))
-            value = head
+        if cut > b:
+            value, slack = head / a, 0.0
             break
-        corrections = 6
-        if cut > 1:
-            # every power cut**(-s-1-2i) the corrections use stays >= 2**-960
-            fit = ((math.log2(first) + 960.0) / math.log2(cut) - 1.0) / 2.0
-            corrections = max(0, min(6, math.floor(fit)))
-        tail, rem = _hurwitz_tail(s, cut, corrections)
-        value = head + tail
-        if rem <= _EM_TARGET * value:
-            size = first * (cut / (s - 1.0) + 0.5 + s / (2.0 * cut)) + 6.0 * rem
-            slack = rem * (1.0 + 2.0**-40) + 2.0**-47 * size + 2.0**-1070 * (1.0 + s)
+        first = (cut / a) ** -s
+        if b < math.inf:
+            L = math.log(b / cut)
+            z = (1.0 - s) * L
+            integral = L if z == 0.0 else math.expm1(z) / (1.0 - s)
+            end = math.exp(-s * L)
+        else:
+            L, integral, end = math.inf, 1.0 / (s - 1.0), 0.0
+        # c**(-1-2i) (1 - (c/b)**(s+1+2i)) = c**(-1-2i) - (b/c)**-s b**(-1-2i)
+        poch, power, far = s, 1.0 / cut, end / b
+        inverse, outer = power * power, 1.0 / (float(b) * b)
+        corrections = 0.0
+        for weight, j in zip(_EM_WEIGHTS[:6], (1, 3, 5, 7, 9, 11)):
+            corrections += weight * poch * (power - far)
+            poch *= (s + j) * (s + j + 1)
+            power *= inverse
+            far *= outer
+        rem = abs(_EM_WEIGHTS[6]) * poch * power
+        if rem < math.inf:  # no Pochhammer product overflowed
+            tail = integral + (0.5 * (1.0 + end) + corrections) / cut
+            factor = first * (cut / a)  # per unit of c to per unit of a
+            value = head / a + factor * tail
+            if first * rem <= _EM_TARGET * a * value:
+                drift = (1.0 + L) * (b + s) * end if end else 0.0
+                sizes = 6.0 * (s / (12.0 * cut) + rem)
+                err = rem + 2.0**-50 * drift + 2.0**-46 * (s + 16.0) * sizes
+                slack = first * err / a + (2.0**-50 * factor + 2.0**-1074) * tail
+                break
+        room = b - cut if s <= 1.0 else min(b - cut, cut / (s - 1.0))
+        rest = (first + 2.0**-1074) * (1.0 + room)
+        if rest <= _EM_TARGET * head:
+            value, slack = head / a, rest / a
             break
         step = max(16, cut - a)
-        terms.extend(float(n) ** -s for n in range(cut, cut + step))
+        terms.extend((n / a) ** -s for n in range(cut, min(cut + step, b + 1)))
+        head = math.fsum(terms)
         cut += step
-    slack += 2.0**-50 * value + len(terms) * 2.0**-1074
+    slack += (math.expm1((s + 2.0) * 2.0**-52) + 2.0**-50) * value + len(terms) * 2.0**-1074 / a
     gap = s - 1.0 - s_err
-    spread = s_err * (math.log(cut) + 2.0 + 1.0 / gap) if gap > 0 else math.inf
+    reach = math.log(cut / a) + 2.0 + 1.0 / gap if gap > 0 else math.inf
+    spread = s_err * (min(math.log(b / a), reach) if b < math.inf else reach)
     grow = (math.expm1(spread) if spread < 700.0 else math.inf) + 2.0**-50
-    return _outward((value - slack) / (1.0 + grow), (value + slack) * (1.0 + grow))
+    lo = math.nextafter((value - slack) / (1.0 + grow), -math.inf)
+    return max(0.0, lo), math.nextafter((value + slack) * (1.0 + grow), math.inf)
 
 
-def _power_sum(s: float, a: int, b: int, s_err: float) -> Interval:
-    """Certified enclosure of sum_{n=a..b} (n/a)**-s' for every exponent s'
-    within ``s_err`` of the float s > 0, with b >= a >= 1, in O(1).
+def _series(
+    y: float, x: float, first: int, step: Callable[[int], float], a: int, b, s0: float,
+    delta: float, target: float = 0.0, rel: float = 0.0,
+) -> Optional[tuple]:
+    """Enclosure (lo, hi) of sum_{k >= first} t_k W_k, the one series of
+    both two-term sums past their head, where t_first = y**first (first
+    is 0 or 1), t_{k+1} = t_k y step(k) and W_k is the kernel
+    ``_power_sum`` at s0 + k delta over [a, b]; None where a term passes
+    the float range or the rest still misses the target after
+    ``_HEAD_TERMS`` terms.
 
-    The Euler-Maclaurin formula over [a, b], scaled at a, with L = ln(b/a):
-
-        a expm1((1-s) L)/(1-s)  (a L at s = 1)  +  (1 + (b/a)**-s)/2
-          + sum_i w_i s(s+1)...(s+2i) a**(-1-2i) (1 - (a/b)**(s+1+2i)),
-
-    with the weights of ``constants._hurwitz_tail``.  Every even derivative
-    of x**-s is positive, so the first omitted correction bounds the
-    remainder, which is small while s is well below 2 pi a.  The rounding
-    is covered by:
-
-    * L within 2**-52 (1 + L) (the quotient b/a, then the logarithm), which
-      moves the integral by a (b/a)**(1-s) = b (b/a)**-s times that, and
-      (b/a)**-s by s times that, relatively; 2**-50 of the value covers
-      the few roundings of each term and of the sum;
-    * 2**-44 (1 + L)(s + 16) of the corrections' sizes at a: their
-      Pochhammer products and powers of a carry some 30 roundings, and each
-      factor 1 - (a/b)**(s+1+2i) the error of (b/a)**-s times s + 13;
-    * the exponent: the sum's derivative in s' is at most L times the sum.
+    x < 1 bounds |y|.  W_j <= W_{k-1} for j >= k (<= (b - a + 1)/a before
+    the first term), and the bounds x**j prod |step| of |t_j| shrink from
+    j = k on by at most rho_k = x max(1, |step(k)|) for both steps here, so
+    the rest from k on is at most that bound at k times
+    W_{k-1} / (1 - rho_k); the series stops once that is at most
+    target + rel |partial sum|, and adds it.  y is within
+    2**-53 (4 + delta (1 + ln a)) of r a**-delta (r, the power, its
+    exponent times ln a, float(a), the product), step(k) and each product
+    within 4 half-ulps, so t_k is within (k + 1) 2**-53 (8 + delta (1 +
+    ln a)), which covers the products with W_k and the fsum too;
+    s0 + k delta is within 2**-51 of itself.
     """
-    L = math.log(b / a)
-    z = (1.0 - s) * L
-    integral = a * L if z == 0.0 else a * math.expm1(z) / (1.0 - s)
-    end = math.exp(-s * L)
-    corrections, sizes = [], []
-    shrink = a / b
-    poch, power, ratio = s, 1.0 / a, end * shrink
-    for i, weight in enumerate(_EM_WEIGHTS[:6]):
-        sizes.append(abs(weight) * poch * power)
-        corrections.append(weight * poch * power * (1.0 - ratio))
-        poch *= (s + 2 * i + 1) * (s + 2 * i + 2)
-        power /= a * a
-        ratio *= shrink * shrink
-    rem = abs(_EM_WEIGHTS[6]) * poch * power
-    value = integral + 0.5 * (1.0 + end) + math.fsum(corrections)
-    slack = (
-        rem
-        + 2.0**-50 * (value + (1.0 + L) * (b + s) * end)
-        + 2.0**-44 * (1.0 + L) * (s + 16.0) * math.fsum(sizes)
-    )
-    grow = math.expm1(s_err * L) + 2.0**-52
-    return _outward((value - slack) / (1.0 + grow), (value + slack) * (1.0 + grow))
+    coef, bound, k = y**first, x**first, first
+    w_hi = (b - a + 1) / a
+    lows, highs, size, total = [], [], 0.0, 0.0
+    while True:
+        ratio = step(k)
+        rho = x * max(1.0, abs(ratio))
+        if rho < 1.0:
+            rest = bound * w_hi / (1.0 - rho) * (1.0 + 2.0**-40)
+            if rest <= target + rel * abs(total):
+                break
+        if k - first == _HEAD_TERMS:
+            return None
+        sk = s0 + k * delta
+        w_lo, w_hi = _power_sum(sk, a, b, sk * 2.0**-51)
+        lo, hi = (coef * w_lo, coef * w_hi) if coef >= 0 else (coef * w_hi, coef * w_lo)
+        lows.append(lo)
+        highs.append(hi)
+        size += (k + 1) * max(-lo, hi)
+        total += lo
+        coef *= ratio * y
+        bound *= abs(ratio) * x
+        if not (size < math.inf and bound < math.inf):
+            return None
+        k += 1
+    slack = 2.0**-53 * (8.0 + delta * (1.0 + math.log(a))) * size + rest
+    return math.fsum(lows) - slack, math.fsum(highs) + slack
 
 
 @dataclass(frozen=True)
@@ -325,10 +381,11 @@ class Canonical:
         s = self.b * theta
         if s <= 1.0:
             raise DivergentTail(f"tail power sum diverges: theta*b = {s} <= 1")
-        # c**theta * zeta(s, d + 1), in O(1) once d + 1 passes the few
-        # explicit terms the Hurwitz enclosure needs; s = b*theta is within
-        # half an ulp of the exact product
-        return _scaled(_hurwitz(s, d + 1, s * 2.0**-53), self.c**theta)
+        # c**theta a**(1-s) times the kernel at a = d + 1, in O(1) once a
+        # passes the few explicit terms the kernel needs; s = b*theta is
+        # within half an ulp of the exact product
+        z = _power_sum(s, d + 1, math.inf, s * 2.0**-53)
+        return _scaled_tail(z, self.c, self.b, d + 1, theta)
 
     def log_product(self, d: int) -> Interval:
         """d log2 c - b log2(d!), with log2(d!) = lgamma(d + 1) / ln 2, in O(1).
@@ -337,11 +394,17 @@ class Canonical:
         (2**-40 relative to the two terms) and the rounding of each float
         axis against c * n**-b: 2**-50 per axis, nearly twice the log2
         shift of a relative error of 3 * 2**-53 (one ulp from the power,
-        half an ulp from the product).
+        half an ulp from the product).  A sum past the float range (from
+        d ~ 1e305) raises ScanCapExceeded.
         """
         scale = d * math.log2(self.c)
-        power = self.b * math.lgamma(d + 1) / LN2
+        try:
+            power = self.b * math.lgamma(d + 1) / LN2
+        except OverflowError:
+            power = math.inf
         slack = 2.0**-40 * (abs(scale) + power) + d * 2.0**-50
+        if not slack < math.inf:
+            raise ScanCapExceeded(f"log2 of {len(str(d))}-digit d! passes the float range")
         value = scale - power
         return Interval(value - slack, value + slack)
 
@@ -399,115 +462,88 @@ class TwoTermPolynomial:
         """A gallop followed by a bisection."""
         return last_passing(lambda n: _above(self, n, t), start - 1)
 
+    def _cut(self, d: int):
+        """The one head rule of both sums, (a, r, y, x): they take the n > d
+        with x_n = |r| n**-delta > 1/16 (r = c2/c1) term by term, at most
+        ``_HEAD_TERMS`` of them; a is the first index past those, y =
+        r a**-delta, and x bounds every x_n from a on (2**-40 relative over
+        y's rounding, |r| 2**-1073 absolute where the power underflows)."""
+        r = self.c2 / self.c1
+        delta = self.alpha2 - self.alpha1
+        # x_n <= 1/16 once ln n >= reach
+        reach = math.log(16.0 * abs(r)) / delta if r else -math.inf
+        a = d + 1 + _HEAD_TERMS
+        if reach <= math.log(a):
+            a = max(d + 1, math.ceil(math.exp(reach)))
+        y = r * float(a) ** -delta
+        return a, r, y, abs(y) * (1.0 + 2.0**-40) + abs(r) * 2.0**-1073
+
     def tail_power_sum(self, d: int, theta: float) -> Interval:
-        """The head explicitly, then c1**theta times a binomial series.
+        """The head term by term, then a binomial series scaled at the cut.
 
-        With r = c2/c1, delta = alpha2 - alpha1 and x_n = |r| n**-delta,
-        mu_n**theta = c1**theta n**-s (1 + r n**-delta)**theta.  Terms are
-        summed explicitly while x_n > 1/16 (at most ``_HEAD_TERMS`` of
-        them); past that cut m, x = x_{m+1} bounds every x_n and
+        With delta = alpha2 - alpha1, s = alpha1 theta and (a, r, y) of
+        ``_cut``, mu_n**theta = c1**theta a**-s (n/a)**-s
+        (1 + y (n/a)**-delta)**theta for n >= a, so
 
-            sum_{n > m} mu_n**theta
-              = c1**theta sum_k binom(theta, k) r**k zeta(s + k delta, m + 1).
+            sum_{n >= a} mu_n**theta
+              = c1**theta a**(1-s) sum_k binom(theta, k) y**k W_k,
 
-        The series runs until a bound on the rest falls below 2**-46 of
-        the sum (see ``_binomial_tail``).  When x >= 1, theta >
-        2 ``_SERIES_TERMS`` or |r| >= 2**13 (where binom(theta, k) r**k
-        could overflow), the factor (1 + r n**-delta)**theta is enclosed
-        instead by its values at n = m + 1 and at infinity.
+        W_k = sum_{n >= a} (n/a)**-(s + k delta) / a (``_series``, to 2**-46
+        of the sum).  Where x >= 1 (a head of ``_HEAD_TERMS`` terms), the
+        series does not converge; where its terms pass the float range, x
+        is within a few hundredths of 1, or (for r < 0 and a large theta)
+        its rounding swamps it, it cannot be summed.  There
+        (1 + r n**-delta)**theta is enclosed by its values at n = a and at
+        infinity instead.
         """
         s = self.alpha1 * theta
         if s <= 1.0:
             raise DivergentTail(f"tail power sum diverges: theta*alpha1 = {s} <= 1")
-        r = self.c2 / self.c1
+        a, r, y, x = self._cut(d)
         delta = self.alpha2 - self.alpha1
-        m = d
-        if r:
-            reach = math.log(16.0 * abs(r)) / delta  # x_n <= 1/16 once ln n >= reach
-            if reach > math.log(d + 1 + _HEAD_TERMS):
-                m = d + _HEAD_TERMS
-            else:
-                m = max(d, math.ceil(math.exp(reach)) - 1)
         # mu_n is within 4 half-ulps times kappa = (c1 + |c2| n**-delta)/mu_n
         # of its float, largest at n = d + 1; the power multiplies that by theta
         kappa = 1.0
         if r < 0:
             x_first = -r * float(d + 1) ** -delta
             kappa = (1.0 + x_first) / (1.0 - x_first)
-        head = _powers_sum(
-            [self.axis(n) ** theta for n in range(d + 1, m + 1)], 2.0**-50 * (theta * kappa + 1.0)
+        head = _powers_sum(map(self.axis, range(d + 1, a)), theta, 2.0**-50 * (theta * kappa + 1.0))
+        z = None if x >= 1.0 else _series(
+            y, x, 0, lambda k: (theta - k) / (k + 1), a, math.inf, s, delta, rel=_EM_TARGET
         )
-        x = abs(r) * float(m + 1) ** -delta * (1.0 + 2.0**-40)
-        if x < 1.0 and theta <= 2 * _SERIES_TERMS and abs(r) < 2.0**13:
-            rest = self._binomial_tail(m + 1, theta, s, r, delta, x)
-        else:
-            factor = (1.0 + math.copysign(x, r)) ** theta if x < 1.0 or r > 0 else 0.0
-            low, high = min(1.0, factor), max(1.0, factor)
-            err = (theta + 4.0) * 2.0**-52  # 1 + x rounds by half an ulp, then the power
-            z = _hurwitz(s, m + 1, s * 2.0**-53)
-            rest = Interval(z.lo * low * (1.0 - err), z.hi * high * (1.0 + err))
-        rest = _scaled(rest, self.c1**theta)
-        return _outward(head.lo + rest.lo, head.hi + rest.hi)
-
-    @staticmethod
-    def _binomial_tail(a: int, theta: float, s: float, r: float, delta: float, x: float) -> Interval:
-        """Enclosure of sum_{n >= a} n**-s (1 + r n**-delta)**theta by the
-        binomial series, for |r| n**-delta <= x < 1 on n >= a and
-        theta <= 2 ``_SERIES_TERMS``.
-
-        Since zeta(s + k delta, a) <= a**(-k delta) zeta(s, a), the terms
-        from k on add up to at most |binom(theta, k)| x**k zeta(s, a) /
-        (1 - rho_k), where rho_k = x max(1, (theta - k)/(k + 1)) bounds the
-        ratio of successive |binom(theta, j)| x**j for j >= k; at
-        k = ``_SERIES_TERMS`` it is x.  The series stops at the first k with
-        rho_k < 1 where that bound is below 2**-46 of the sum, and adds it.
-        Each coefficient binom(theta, k) r**k is within 4k + 2 half-ulps of
-        its exact value, and each float exponent s + k delta within
-        4 half-ulps of itself; both are widened for.
-        """
-        z0 = _hurwitz(s, a, s * 2.0**-51)
-        lows, highs = [], []
-        coef, bound, size, k = 1.0, 1.0, 0.0, 0  # bound = |binom(theta, k)| x**k
-        while True:
-            rho = x * max(1.0, (theta - k) / (k + 1))
-            if rho < 1.0 and (
-                bound * z0.hi <= _EM_TARGET * (1.0 - rho) * math.fsum(lows) or k == _SERIES_TERMS
-            ):
-                # 2**-1074 covers a bound that underflowed
-                rem = (bound + 2.0**-1074) * z0.hi / (1.0 - rho) * (1.0 + 2.0**-40)
-                break
-            sk = s + k * delta
-            term = (_hurwitz(sk, a, sk * 2.0**-51) if k else z0).scale(coef)
-            lows.append(term.lo)
-            highs.append(term.hi)
-            size += (k + 1) * max(-term.lo, term.hi)
-            step = (theta - k) / (k + 1)
-            coef *= step * r
-            bound *= abs(step) * x
-            k += 1
-        slack = 2.0**-50 * size + rem
-        return Interval(math.fsum(lows) - slack, math.fsum(highs) + slack)
+        bracket = z is None or z[0] <= 0.0  # rounding cancelled the series
+        if bracket:
+            z = _power_sum(s, a, math.inf, s * 2.0**-53)
+        rest = _scaled_tail(z, self.c1, self.alpha1, a, theta)
+        if bracket:
+            # past the cut, 1 + r n**-delta lies between 1 and 1 + x (rounded
+            # up) when r > 0, and between 0 and 1 when r < 0
+            grown = self.c1 * (1.0 + x) * (1.0 + 2.0**-50)
+            hi = _scaled_tail(z, grown, self.alpha1, a, theta).hi if r > 0 else rest.hi
+            rest = Interval(rest.lo if r > 0 else 0.0, hi)
+        return _outward(head[0] + rest.lo, head[1] + rest.hi)
 
     def log_product(self, d: int) -> Interval:
         """The per-axis sum up to ``_HEAD_TERMS`` axes, then in O(1).
 
         Every mu_n lies in [min(mu_1, mu_d), c1 + max(c2, 0)] for n <= d,
         since the law rises at most once, before falling; the per-axis sum
-        is ``_log2_sum`` of the float axes.  Past the head, with
-        r = c2/c1, delta = alpha2 - alpha1 and y_n = r n**-delta,
+        is ``_log2_sum`` of the float axes.  Past ``_HEAD_TERMS`` axes,
+        with r = c2/c1, delta = alpha2 - alpha1 and y_n = r n**-delta,
 
             log2 mu_n = log2(c1 n**-alpha1) + log2(1 + y_n),
 
         so the sum is the canonical closed form of (alpha1, c1), plus
-        log1p(y_n) / ln 2 summed over the head, plus a series for the axes
-        past it (see ``_split_log_product``).  The per-axis sum stays the
-        fallback where that series does not converge; past ``AXIS_CAP``
-        axes it raises ScanCapExceeded instead.
+        log1p(y_n) / ln 2 summed over the head before the cut a
+        (``_cut``), plus a series for the axes from a to d (see
+        ``_split_log_product``).  The per-axis sum stays the fallback where
+        that series does not converge (x >= 1 at the cut) or needs more
+        than ``_HEAD_TERMS`` terms (x within a few hundredths of 1); past
+        ``AXIS_CAP`` axes it raises ScanCapExceeded instead.
         """
-        if d > _HEAD_TERMS:
-            split = self._split_log_product(d)
-            if split is not None:
-                return split
+        split = self._split_log_product(d) if d > _HEAD_TERMS else None
+        if split is not None:
+            return split
         if d > AXIS_CAP:
             raise ScanCapExceeded(
                 f"a per-axis log-product over {d} axes exceeds the cap {AXIS_CAP}"
@@ -517,82 +553,50 @@ class TwoTermPolynomial:
         return _log2_sum(map(self.axis, range(1, d + 1)), d, largest, smallest)
 
     def _split_log_product(self, d: int) -> Optional[Interval]:
-        """The log-product for d > ``_HEAD_TERMS`` in O(1), or None where
-        the series past the head does not converge within ``_SERIES_TERMS``
-        terms (x >= 1 among them), or a**-delta, at the first index a past
-        the head, is not a normal float.
+        """The log-product for d > ``_HEAD_TERMS`` in O(1), from (a, r, y, x)
+        of ``_cut``; None where x >= 1 or the series gives up.
 
-        With y = r a**-delta and Q_k = sum_{n=a..d} (n/a)**(-k delta)
-        (``_power_sum``), the axes past the head add
+        With Q_k = sum_{n=a..d} (n/a)**(-k delta) / a, the axes from a on
+        add sum_{n=a..d} ln(1 + y_n) = a sum_{k>=1} -(-y)**k Q_k / k
+        (``_series``), which stops once its rest is below 2**-52 of the
+        canonical part, about its last bit, so the midpoint is as close to
+        the sum as the per-axis sum's.  The product with a rounds within
+        the 2**-50 of the part that the slack adds.
 
-            sum_{n=a..d} ln(1 + y_n) = sum_{k>=1} -(-y)**k Q_k / k,
+        Besides the canonical part's and the series' own, the slack covers:
 
-        and x = |y| (1 + 2**-40) bounds every |y_n| there.  Q_k does not
-        grow with k, so the terms past K add up to at most
-        x**(K+1) Q_K / ((K+1)(1 - x)), with Q_0 = d - ``_HEAD_TERMS``; the
-        series stops once that is below 2**-52 of the canonical part, about
-        its last bit, so the midpoint is as close to the sum as the
-        per-axis sum's.
-
-        Besides the canonical part's own, the slack covers:
-
-        * each float y_n, within 2**-53 (4 + 7 delta) relative (the
-          quotient r, the power, its exponent's rounding times ln n, the
-          product), which moves log1p(y_n) by that times |y_n|/(1 + y_n);
-          log1p and fsum, within 2**-51 of the head;
-        * each coefficient (-y)**k / k, within 2**-50 k (1 + delta) of its
-          value, and the float exponent k delta, within 2**-51 of itself;
+        * each float y_n of the head, within 2**-53 (4 + 7 delta) relative
+          (r, the power, its exponent times ln n <= ln 1024, the product),
+          which moves log1p(y_n) by that times |y_n|/(1 + y_n); log1p and
+          fsum, within 2**-51 of the head;
         * the float axes: mu_n is within 2**-51 kappa_n of its float, with
           kappa_n = (1 + |y_n|)/(1 + y_n), which shifts log2 mu_n by up to
           2**-50 kappa_n.  The canonical part covers 2**-50 per axis; the
           rest is 2**-49 |y_n|/(1 + y_n) when r < 0, at most
-          2**-49 x/(1 - x) past the head.
+          2**-49 x/(1 - x) from the cut on.
         """
-        r = self.c2 / self.c1
-        delta = self.alpha2 - self.alpha1
-        a = _HEAD_TERMS + 1
-        scale = float(a) ** -delta
-        y = r * scale
-        x = abs(y) * (1.0 + 2.0**-40)
-        # r > -1 exactly (mu_1 > 0), but the quotient may round to -1
-        if not x < 1.0 or scale < sys.float_info.min or r <= -1.0:
+        a, r, y, x = self._cut(0)
+        if not (x < 1.0 and r > -1.0):  # r > -1 exactly, but the quotient may round to -1
             return None
+        delta = self.alpha2 - self.alpha1
         ys = [r * float(n) ** -delta for n in range(1, a)]
         canon = Canonical(self.alpha1, self.c1).log_product(d)
         target = 2.0**-52 * max(1.0, abs(canon.mid))
         head = math.fsum(map(math.log1p, ys))
-        lean = math.fsum(abs(v) / (1.0 + v) for v in ys)
-        lows, highs, size = [], [], 0.0
-        q_hi, power = float(d - _HEAD_TERMS), 1.0
-        for k in range(1, _SERIES_TERMS + 2):
-            rest = x**k * q_hi / (k * (1.0 - x)) * (1.0 + 2.0**-40)
-            if rest <= target:
-                break
-            if k > _SERIES_TERMS:
-                return None
-            power *= -y
-            s = k * delta
-            q = _power_sum(s, a, d, s * 2.0**-51)
-            term = q.scale(-power / k)
-            lows.append(term.lo)
-            highs.append(term.hi)
-            size += k * max(-term.lo, term.hi)
-            q_hi = q.hi
-        series = Interval(math.fsum(lows), math.fsum(highs))
-        # in natural-log units: the head's and the series' rounding, the rest
-        err = (
-            lean * 2.0**-48 * (1.0 + delta)
-            + 2.0**-51 * abs(head)
-            + 2.0**-50 * (1.0 + delta) * size
-            + rest
-        )
+        lean = abs(math.fsum([v / (1.0 + v) for v in ys]))  # every y_n has the sign of r
+        series = _series(y, x, 1, lambda k: -k / (k + 1), a, d, 0.0, delta, target=target / a)
+        if series is None:
+            return None
+        series = Interval(series[0] * a, series[1] * a)
+        # in natural-log units: the head's rounding
+        err = lean * 2.0**-48 * (1.0 + delta) + 2.0**-51 * abs(head)
         part = (head + series.mid) / LN2
         value = canon.mid + part
         slack = (
             0.5 * canon.width
             + (0.5 * series.width + err) / LN2 * (1.0 + 2.0**-50)
             + 2.0**-50 * (abs(canon.mid) + abs(part))
-            + ((d - _HEAD_TERMS) * 2.0**-49 * x / (1.0 - x) if r < 0 else 0.0)
+            + ((d - a + 1) * 2.0**-49 * x / (1.0 - x) if r < 0 else 0.0)
         )
         return Interval(value - slack, value + slack)
 
@@ -668,12 +672,11 @@ class Tabulated:
         """The table's terms (pow within one ulp, fsum within half of one),
         plus the canonical tail's enclosure past the table."""
         L = len(self.values)
-        terms = [v**theta for v in self.values[d:]]
-        finite = _powers_sum(terms, 2.0**-51)
+        finite = _powers_sum(self.values[d:], theta, 2.0**-51)
         if self.tail is None:
-            return _outward(*finite) if terms else Interval(0.0, 0.0)
+            return _outward(*finite) if d < L else Interval(0.0, 0.0)
         rest = self.tail.tail_power_sum(max(d, L), theta)
-        return _outward(finite.lo + rest.lo, finite.hi + rest.hi)
+        return _outward(finite[0] + rest.lo, finite[1] + rest.hi)
 
     def log_product(self, d: int) -> Interval:
         """A Kahan sum over at most the table, plus the tail's log-product
@@ -855,14 +858,15 @@ def cesaro_log_ratio(model: SemiAxisModel, N: int) -> float:
 def tail_power_sum(model: SemiAxisModel, d: int, theta: float) -> Interval:
     """Certified enclosure of sum_{n > d} mu_n**theta.
 
-    A canonical law is c**theta times a Hurwitz zeta value, enclosed by the
-    Euler-Maclaurin formula after at most a few dozen explicit terms (see
-    ``_hurwitz``), so its cost does not depend on d; a table sums its own
+    A canonical law is c**theta (d+1)**(1-s) times the Euler-Maclaurin
+    kernel ``_power_sum`` at d + 1, which adds at most a few dozen
+    explicit terms, so its cost does not depend on d; a table sums its own
     entries and hands the rest to its canonical tail; a two-term law sums
     its head until the second term is small, then a binomial series of
-    Hurwitz values.  The enclosure covers every rounding and has lo >= 0
-    and hi > 0 for a positive sum.  Convergence requires the mapped
-    exponent theta times the decay index to exceed 1.
+    kernel values (a bracket where that series cannot run).  The enclosure
+    covers every rounding and has lo >= 0 and hi > 0 for a positive sum;
+    a power past the float range raises ScanCapExceeded.  Convergence
+    requires the mapped exponent theta times the decay index to exceed 1.
     """
     if d < 0:
         raise InvalidModel("d must be >= 0")

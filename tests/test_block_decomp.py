@@ -94,6 +94,19 @@ class TestTailRadius:
 
 
 class TestInfiniteUpperBound:
+    @pytest.mark.parametrize(
+        "model, p, q, eps",
+        [
+            # theta = 1/(1/q - 1/p) near 4,000 and 900: mu_1**theta passes 2**1024
+            (Canonical(1, 2.0), 2, 1.999, 0.1),
+            (Tabulated((3.0, 2.0, 1.0), Canonical(1, 1.0)), 3, 2.99, 0.5),
+        ],
+        ids=["canonical", "table"],
+    )
+    def test_tail_power_past_the_float_range_raises_scan_cap(self, model, p, q, eps):
+        with pytest.raises(ScanCapExceeded, match="float range"):
+            infinite_upper_bound(model, p, q, eps)
+
     def test_dominates_exact_on_grid(self):
         # the models of the radius sweep below plus a two-axis table, at
         # radii that include decimal-integer ratios mu_n / eps: cuts below
@@ -357,6 +370,13 @@ class TestSeededCut:
         assert (result.bits, cert.effective_dimension) == (0.0, 0)
         with pytest.raises(ScanCapExceeded):
             infinite_upper_bound(model, 2.0, 1.9999, 0.5)
+
+    @pytest.mark.parametrize("p", [2.99, 3.0])
+    def test_secant_between_neighbours_past_2_52(self, p):
+        # the cut is near 3.2e15, where two neighbouring probes have the
+        # same ln(n + 1/2) but different radii: the secant has no slope
+        result, cert = infinite_upper_bound(Canonical(0.8, 2.0), p, 1.0, 0.1)
+        assert cert.effective_dimension > 2**51 and result.bits > 0
 
     def test_trivial_cover_takes_one_tail_sum(self):
         counted = Forwarding(Canonical(2.0, 1.0))

@@ -210,6 +210,15 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(out)["kind"] == "cap-exceeded"
 
+    def test_tail_power_past_the_float_range_is_4(self, capsys):
+        # theta = 1/(1/1.999 - 1/2) is near 4,000, and 2**theta passes 2**1024
+        code, out, _ = run(
+            capsys, "bound-infinite", "--model", "canonical:b=1,c=2",
+            "--p", "2", "--q", "1.999", "--eps", "0.1",
+        )
+        assert code == 4
+        assert json.loads(out)["kind"] == "cap-exceeded"
+
     def test_non_positive_two_term_is_2(self, capsys):
         model = "two_term:c1=1,c2=-2,alpha1=1,alpha2=1.000001"
         code, _, err = run(capsys, "exact", "--model", model, "--eps", "0.1")

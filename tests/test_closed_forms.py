@@ -50,14 +50,16 @@ def test_log_product_encloses_the_per_axis_sum(label):
         assert enclosure.width <= 1e-10 * max(1.0, abs(reference)), (label, d)
 
 
-# Two-term laws beyond the golden grid: a large second term at x = 0.0011
-# and 0.038 past the head (through the series), and x = 0.88, where the
-# series would need more than 64 terms (through the per-axis fallback).
+# Two-term laws beyond the golden grid: large second terms whose heads stop
+# where x = |c2/c1| n**-delta falls to 1/16, x = 0.88 after a head of 1,024
+# axes (all three through the series past the head), and x = 3.4 there,
+# where the series does not converge (through the per-axis fallback).
 TWO_TERM = {
     **{label: MODELS[label][0] for label in MODELS if label.startswith("two-term")},
     "second-dominant": TwoTermPolynomial(1.0, 300.0, 1.2, 3.0),
     "large-r": TwoTermPolynomial(1.0, 1e4, 1.2, 3.0),
     "slow-series": TwoTermPolynomial(1.0, 900.0, 1.0, 2.0),
+    "per-axis": TwoTermPolynomial(1.0, 8.0538, 0.9712, 1.097),
 }
 MP_CUTS = (1024, 1025, 2000, 2 * 10**4)
 
@@ -301,11 +303,15 @@ def test_block_cut_past_2_53_raises_after_one_tail_sum():
 
 
 def test_two_term_per_axis_fallback_raises_at_once_past_the_axis_cap():
-    # the series past the head needs more than 64 terms at x = 0.88, so the
-    # log-product falls back to a per-axis sum, 77 ms per 10^5 axes
+    # x = 3.4 after the 1,024-axis head: the series does not converge, so
+    # the log-product falls back to a per-axis sum, 43 ms per 10^5 axes
     start = time.perf_counter()
     with pytest.raises(ScanCapExceeded):
-        TwoTermPolynomial(1, 900, 1, 2).log_product(AXIS_CAP + 1)
+        TWO_TERM["per-axis"].log_product(AXIS_CAP + 1)
+    assert time.perf_counter() - start < 1.0
+    # x = 0.88 there: the series runs, with no cap on its terms
+    enclosure = TWO_TERM["slow-series"].log_product(AXIS_CAP + 1)
+    assert enclosure.lo < enclosure.hi < 0
     assert time.perf_counter() - start < 1.0
 
 
@@ -330,6 +336,8 @@ def test_effective_dimension_raises_at_once_without_an_answer():
         (lambda: infinite_upper_bound(TwoTermPolynomial(1, 1, 1, 1.25), INF, INF, 1e-6), 0.05),
         (lambda: cesaro_log_ratio(TwoTermPolynomial(1, 1, 1, 1.25), 10**6), 0.05),
         (lambda: TwoTermPolynomial(1, 1, 1, 1.25).log_product(10**6), 0.05),
+        (lambda: TwoTermPolynomial(1, 900, 1, 2).log_product(10**5), 5e-3),
+        (lambda: TwoTermPolynomial(1, -0.9, 0.01, 0.05).log_product(10**5), 5e-3),
     ],
     ids=[
         "estimator",
@@ -342,6 +350,8 @@ def test_effective_dimension_raises_at_once_without_an_answer():
         "two-term-bound-sup-norm",
         "two-term-cesaro",
         "two-term-log-product",
+        "slow-series-log-product",
+        "rising-head-log-product",
     ],
 )
 def test_answer_does_not_walk_to_d_star(call, budget):

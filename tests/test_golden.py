@@ -7,11 +7,13 @@ class name.  The test recomputes every cell and names each one that moved,
 so a refactor that must keep results bit for bit is checked cell by cell.
 
 Record the file again with ``PYTHONPATH=src python tests/test_golden.py``,
-and only for cells whose change is intended.
+and only for cells whose change is intended; it first prints the cells
+that move, grouped by model label and family.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -125,5 +127,22 @@ def test_golden_fingerprint():
     assert not moved, f"{len(moved)} cells moved, first: {sorted(moved.items())[:5]}"
 
 
+def _family(key: str) -> str:
+    """``label|family`` of a cell key, whose second field is the family
+    (axis, tail) or a radius followed by it."""
+    label, second, *rest = key.split("|")
+    return f"{label}|{second if second in ('axis', 'tail') else rest[0]}"
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(fingerprint(), indent=0, sort_keys=True) + "\n")
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    current = fingerprint()
+    moved = collections.defaultdict(list)
+    for key in sorted(current.keys() | recorded.keys()):
+        if recorded.get(key) != current.get(key):
+            moved[_family(key)].append(key)
+    for family, keys in sorted(moved.items()):
+        print(f"{family}: {len(keys)} moved")
+        for key in keys:
+            print(f"  {key}: {recorded.get(key)} -> {current.get(key)}")
+    GOLDEN.write_text(json.dumps(current, indent=0, sort_keys=True) + "\n")

@@ -296,6 +296,23 @@ class TestLogProduct:
     def test_table(self):
         assert log_product(Tabulated((2, 2)), 2) == pytest.approx(2.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "model, d",
+        [
+            (Canonical(0.01, 1), 10**307),
+            (Tabulated((2.0, 1.0), Canonical(0.01, 1)), 10**307),
+            (TwoTermPolynomial(1, 0.5, 0.01, 1), 10**307),
+            (Canonical(1, 1), 2 * 10**305),
+        ],
+        ids=["canonical", "table-tail", "two-term", "canonical-b1"],
+    )
+    def test_lgamma_past_the_float_range_raises_scan_cap(self, model, d):
+        # lgamma(d + 1) overflows from d ~ 2.5e305, and b lgamma(d + 1) / ln 2
+        # already from d ~ 1.8e305 at b = 1
+        for call in (log_product, cesaro_log_ratio):
+            with pytest.raises(ScanCapExceeded, match="float range"):
+                call(model, d)
+
 
 class TestTailPowerSum:
     def test_basel(self):

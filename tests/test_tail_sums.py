@@ -19,6 +19,7 @@ budget.
 
 import functools
 import math
+import random
 import time
 
 import mpmath
@@ -55,11 +56,14 @@ MODELS = {
     ),
 }
 
-# two-term laws past the binomial series' reach, which fall back to the
-# monotone bracket of (1 + r n**-delta)**theta: r >= 2**13, and theta > 128
-BRACKETED = {
+# two-term laws off the grid: large second terms, whose series past the
+# head (x = |c2/c1| n**-delta <= 1/16) runs with |r| = 10**4 and 10**6, and
+# x >= 1 after a head of 1,024 terms, where the series does not converge
+# and the factor (1 + r n**-delta)**theta is enclosed by a monotone bracket
+EXTRA = {
     "two-term-large-r": TwoTermPolynomial(1.0, 10000.0, 1.2, 3.0),
-    "two-term-negative": MODELS["two-term-negative"],
+    "two-term-huge-r": TwoTermPolynomial(1.0, 1e6, 1.0, 4.0),
+    "two-term-bracket": TwoTermPolynomial(1.0, 1e10, 1.2, 4.2),
 }
 
 PREC = 200
@@ -102,7 +106,7 @@ def _law(model):
 @functools.lru_cache(maxsize=None)
 def _axes(label, start):
     """mu_n for n in [start, start + WINDOW + 10), 0 past a complete table."""
-    mu, _ = _law({**MODELS, **BRACKETED}[label])
+    mu, _ = _law({**MODELS, **EXTRA}[label])
     return [mu(n) for n in range(start, start + WINDOW + 10)]
 
 
@@ -140,7 +144,7 @@ def reference(label, d, theta):
     with mpmath.workprec(PREC):
         terms = _window(label, start, theta)
         head = mpmath.fsum(terms[d + 1 - start :])
-        rest = _law({**MODELS, **BRACKETED}[label])[1]
+        rest = _law({**MODELS, **EXTRA}[label])[1]
         return head + (rest(N, theta) if len(terms) == N - start else 0)
 
 
@@ -173,14 +177,86 @@ def test_enclosure_contains_the_reference(label):
     assert not misses, misses
 
 
+def _tight(label, d, theta):
+    """Whether the enclosure contains the reference and is at most 1e-11
+    wide relative to it."""
+    iv = tail_power_sum({**MODELS, **EXTRA}[label], d, theta)
+    ref = reference(label, d, theta)
+    return 0 < iv.hi and 0 <= MP(iv.lo) <= ref <= MP(iv.hi) and iv.width <= 1e-11 * iv.hi
+
+
 @pytest.mark.parametrize(
     "label, d, theta",
     [("two-term-large-r", d, theta) for d in (0, 10, 1000) for theta in (1.5, 3.0)]
     + [("two-term-negative", 0, 130.5)],
 )
-def test_bracket_fallback_contains_the_reference(label, d, theta):
-    iv = tail_power_sum(BRACKETED[label], d, theta)
-    assert 0 < iv.hi and 0 <= MP(iv.lo) <= reference(label, d, theta) <= MP(iv.hi)
+def test_former_bracket_cells_go_through_the_series(label, d, theta):
+    # |r| = 10**4 and theta = 130.5: the series at its coefficients' reach
+    assert _tight(label, d, theta)
+
+
+@pytest.mark.parametrize("d, theta", [(d, theta) for d in (0, 10) for theta in (1.5, 3.0)])
+def test_large_ratio_series_contains_the_reference(d, theta):
+    # r = 10**6: the head stops at n = 251, where x = 10**6 / 252**3 < 1/16
+    assert _tight("two-term-huge-r", d, theta)
+
+
+@pytest.mark.parametrize("d, theta", [(d, theta) for d in (0, 10) for theta in (1.5, 3.0)])
+def test_bracket_fallback_contains_the_reference(d, theta):
+    # x = 10**10 n**-3 is about 9.3 at the cut n = d + 1,025
+    assert 1e10 * (d + 1025) ** -3.0 >= 1.0
+    iv = tail_power_sum(EXTRA["two-term-bracket"], d, theta)
+    assert 0 < iv.hi and 0 <= MP(iv.lo) <= reference("two-term-bracket", d, theta) <= MP(iv.hi)
+
+
+def test_cancelled_series_keeps_a_zero_lower_end():
+    # every mu_n is below 0.04, so the sum is below 0.04**897 n**-0.8: it
+    # underflows.  The binomial series past the 1,024-term head (x = 0.62)
+    # cancels far below its rounding, and its factor c1**theta a**(1-s)
+    # underflows too; the enclosure must still start at 0
+    model = TwoTermPolynomial(1.0, -0.9785038234027797, 0.8012894324495231, 0.8677117458624988)
+    theta = 1 / (1 / 2.99 - 1 / 3)
+    iv = tail_power_sum(model, 0, theta)
+    assert iv.lo == 0.0 < iv.hi < 1e-300
+    result, cert = infinite_upper_bound(model, 3.0, 2.99, 0.63)
+    assert (result.bits, cert.effective_dimension) == (0.0, 0)
+
+
+def test_negative_second_term_at_large_theta_stays_certified():
+    """Random laws with -1 < c2/c1 < 0 at theta up to 2,000, where the
+    binomial series cancels and the factors underflow: lo is at most the
+    first 1,000 terms plus c1**theta zeta(alpha1 theta, N), an upper bound
+    of the rest, and hi at least those terms."""
+    rng = random.Random(3)
+    checked = 0
+    with mpmath.workprec(PREC):
+        while checked < 15:
+            a1, delta = 10 ** rng.uniform(-1, 0.5), 10 ** rng.uniform(-2, 0.5)
+            c1, r, theta = 10 ** rng.uniform(-0.5, 0.5), -rng.uniform(0.01, 0.999), 10 ** rng.uniform(0.3, 3.3)
+            if a1 * theta <= 1.01:
+                continue
+            model, d = TwoTermPolynomial(c1, r * c1, a1, a1 + delta), rng.choice((0, 10, 1000))
+            iv = tail_power_sum(model, d, theta)
+            c1, c2, a1, a2, t = (MP(v) for v in (model.c1, model.c2, model.alpha1, model.alpha2, theta))
+            N = d + 1001
+            terms = mpmath.fsum(
+                mpmath.power(c1 * mpmath.power(n, -a1) + c2 * mpmath.power(n, -a2), t) for n in range(d + 1, N)
+            )
+            assert MP(iv.lo) <= terms + c1**t * mpmath.zeta(a1 * t, N) and terms <= MP(iv.hi), (model, d, theta)
+            checked += 1
+
+
+def test_scaled_kernel_keeps_a_tiny_zeta_tight():
+    # zeta(155.6, 101) is about 2e-312, below the normal floats, but
+    # c**theta lifts the sum to 2.3e-248: only a kernel scaled at the cut
+    # keeps the bits that a subnormal zeta value would lose
+    model, d, theta = Canonical(4.762679986705292, 92.03119460334526), 100, 32.67531949758944
+    iv = tail_power_sum(model, d, theta)
+    with mpmath.workprec(PREC):
+        b, c, t = MP(model.b), MP(model.c), MP(theta)
+        ref = mpmath.fsum((c * mpmath.power(n, -b)) ** t for n in range(d + 1, d + 200))
+    assert MP(iv.lo) <= ref <= MP(iv.hi)
+    assert iv.width <= 1e-11 * iv.hi
 
 
 def test_empty_table_tail_is_exactly_zero():
