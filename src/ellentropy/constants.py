@@ -1,8 +1,8 @@
 """Special functions and universal constants of the entropy formulas.
 
 Provides extended Hoelder exponents with an explicit infinity, the
-Riemann zeta function via Euler-Maclaurin summation, volumes of lp
-unit balls, the volume-ratio constant
+Riemann zeta function on the Euler-Maclaurin kernel of ``numerics``,
+volumes of lp unit balls, the volume-ratio constant
 
     Gamma_{p,q} = Gamma(1/p+1) p^(1/p) / (Gamma(1/q+1) q^(1/q) e^(1/q-1/p)),
 
@@ -11,7 +11,8 @@ constant
 
     S(b) = sum_{k>=1} log2(1 + 1/k) k^(-1/b)
 
-that governs the exact sup-norm entropy of canonical hyperrectangles.
+that governs the exact sup-norm entropy of canonical hyperrectangles, on
+the same kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import EntropyError
-from .numerics import kahan_sum
+from .numerics import _power_sum
 
 LN2 = math.log(2.0)
 
@@ -97,81 +98,64 @@ def volume_ratio(p: ExponentLike, q: ExponentLike, d: int) -> float:
     return math.exp((unit_ball_log_volume(p, d) - unit_ball_log_volume(q, d)) / d)
 
 
-# B_{2i} / (2i)! for i = 1..8, the Euler-Maclaurin correction weights.
-_EM_WEIGHTS = (
-    1.0 / 12.0,
-    -1.0 / 720.0,
-    1.0 / 30240.0,
-    -1.0 / 1209600.0,
-    1.0 / 47900160.0,
-    -691.0 / 1307674368000.0,
-    1.0 / 74724249600.0,
-    -3617.0 / 10670622842880000.0,
-)
+# Relative width of the enclosures that zeta and S(b) return the midpoints of.
+_WIDTH = 2.0**-40
 
 
-def _hurwitz_tail(s: float, a: int, corrections: int = 6):
-    """Euler-Maclaurin value of sum_{n >= a} n**-s with a certified remainder.
-
-    Returns (value, remainder_bound); the remainder bound is the magnitude
-    of the first omitted correction term, valid for real s > 1.
-    """
-    value = a ** (1.0 - s) / (s - 1.0) + 0.5 * a ** (-s)
-    poch = s
-    power = a ** (-s - 1.0)
-    inv_a2 = 1.0 / (a * a)
-    for i in range(corrections):
-        value += _EM_WEIGHTS[i] * poch * power
-        poch *= (s + 2 * i + 1) * (s + 2 * i + 2)
-        power *= inv_a2
-    remainder = abs(_EM_WEIGHTS[corrections] * poch * power)
-    return value, remainder
+def _midpoint(lo: float, hi: float, what: str) -> float:
+    """The midpoint of an enclosure [lo, hi] of a positive value;
+    EntropyError where it is wider than ``_WIDTH`` relative."""
+    if not hi - lo <= _WIDTH * lo:
+        raise EntropyError(f"{what} has no enclosure within {_WIDTH} relative")
+    return 0.5 * (lo + hi)
 
 
 def zeta(s: float) -> float:
-    """Riemann zeta for real s > 1, absolute error well below 1e-12."""
-    if not s > 1.0:
-        raise EntropyError(f"zeta requires s > 1, got {s}")
-    a = 25
-    head = kahan_sum(float(n) ** (-s) for n in range(1, a))
-    tail, _ = _hurwitz_tail(s, a)
-    return head + tail
+    """Riemann zeta for real s > 1, within 2**-41 relative: the midpoint of
+    the kernel ``numerics._power_sum`` from n = 1.  EntropyError from s
+    near 2**11 on, where its bound on the rounding of its powers passes
+    ``_WIDTH``; past 2**11 the kernel is not called."""
+    if not 1.0 < s < 2.0**11:
+        raise EntropyError(f"zeta requires 1 < s < 2**11, got {s}")
+    return _midpoint(*_power_sum(s, 1, math.inf, 0.0), f"zeta({s!r})")
 
 
 def zeta_series_constant(b: float) -> float:
-    """S(b) = sum_{k>=1} log2(1+1/k) k^(-1/b), remainder certified.
+    """S(b) = sum_{k>=1} log2(1+1/k) k^(-1/b) for finite b > 0, within
+    2**-41 relative: the midpoint of a certified enclosure, or EntropyError
+    where that is wider than ``_WIDTH`` (from b near 2,000 on, as the float
+    s = 1 + 1/b below keeps 1/b only to about b 2**-53 relative).
 
-    The head of the series is summed directly.  The tail is expanded via
-    ln(1+1/k) = sum_j (-1)^(j+1) / (j k^j), each inner power sum enclosed
-    by its Euler-Maclaurin value plus remainder bound, and the alternating
-    truncation bounded by the first omitted term.  The total enclosure
-    width must come out below 1e-10.
+    The first 32 terms are summed directly: the first is 1, the others are
+    within 2**-50 relative, and the rounding of 1/b moves them by under
+    2**-52 in all (t e^-t <= 1/e at t = ln(k)/b).  Past them, since
+    ln(1 + 1/k) = sum_j (-1)^(j+1) / (j k^j), the rest is the alternating
+    series of the terms a^(1-s) / (j ln 2) times the kernel
+    ``numerics._power_sum`` at a = 33, s = j + 1/b, for every exponent
+    within s 2**-52 of the float s; that factor is within
+    2**-50 + 2**-51 s ln(a) relative of its float.  Term j is below
+    a^(1-s) (1/a + 1/(s-1)) / (j ln 2) and falls with j, so once that
+    bound is below 2**-44 of the head it bounds the rest.
     """
-    if not b > 0:
-        raise EntropyError(f"series constant requires b > 0, got {b}")
-    K = 4096
-    rb = 1.0 / b
-    head = kahan_sum(math.log1p(1.0 / k) / LN2 * k ** (-rb) for k in range(1, K + 1))
-
-    lo = hi = 0.0
+    if not 0.0 < b < math.inf:
+        raise EntropyError(f"series constant requires finite b > 0, got {b}")
+    rb, a = 1.0 / b, 33
+    head = math.fsum([math.log1p(1.0 / k) / LN2 * k**-rb for k in range(1, a)])
+    lows, highs, slack = [head], [head], 2.0**-49 * head + a * 2.0**-1074
     j = 1
     while True:
-        term, rem = _hurwitz_tail(j + rb, K + 1)
-        contrib = term / (j * LN2)
-        spread = rem / (j * LN2)
-        if contrib < 1e-10 / 4.0:
-            # Alternating series: the dropped part is within +-contrib.
-            lo -= contrib + spread
-            hi += contrib + spread
+        s = j + rb
+        scale = float(a) ** (1.0 - s) / (j * LN2)
+        rest = scale * (1.0 / a + 1.0 / (j - 1 + rb)) * (1.0 + 2.0**-40) + 2.0**-1070
+        if rest <= 2.0**-44 * head:
             break
-        if j % 2 == 1:
-            lo += contrib - spread
-            hi += contrib + spread
-        else:
-            lo -= contrib + spread
-            hi -= contrib - spread
+        s_err = s * 2.0**-52
+        # where the float s does not resolve s - 1, the kernel has no bound
+        lo, hi = _power_sum(s, a, math.inf, s_err) if s - 1.0 > s_err else (0.0, math.inf)
+        lows.append(scale * (lo if j % 2 else -hi))
+        highs.append(scale * (hi if j % 2 else -lo))
+        slack += (2.0**-50 + 2.0**-51 * s * math.log(a)) * scale * hi + 2.0**-1070
         j += 1
-
-    if hi - lo > 1e-10:
-        raise EntropyError("tail enclosure wider than the certified target")
-    return head + 0.5 * (lo + hi)
+    lo = math.nextafter(math.fsum(lows) - slack - rest, -math.inf)
+    hi = math.nextafter(math.fsum(highs) + slack + rest, math.inf)
+    return _midpoint(lo, hi, f"S({b!r})")

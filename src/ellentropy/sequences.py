@@ -17,9 +17,10 @@ every algorithm reads a sequence through.  On top of them the module
 provides the threshold counting function M_k(t) = #{n : mu_n > k*t},
 certified partial log-products (in closed form for canonical laws),
 certified enclosures of tail power sums, and the Cesaro mean of
-log(mu_n / mu_N).  One Euler-Maclaurin kernel, ``_power_sum``, encloses
-the power sums behind them, scaled at their first index; canonical tails
-scale it by c**theta a**(1-s), so their cost does not grow with the cut.
+log(mu_n / mu_N).  The package's Euler-Maclaurin kernel,
+``numerics._power_sum``, encloses the power sums behind them, scaled at
+their first index; canonical tails scale it by c**theta a**(1-s), so
+their cost does not grow with the cut.
 Both two-term sums take the same head term by term, then one series of
 kernel values (``_series``), so neither cost grows with d.
 """
@@ -31,9 +32,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, NamedTuple, Optional, Protocol
 
-from .constants import _EM_WEIGHTS, LN2
+from .constants import LN2
 from .errors import DivergentTail, IndexBeyondTable, InvalidModel, ScanCapExceeded
-from .numerics import Interval, Threshold, _check_radius, kahan_sum
+from .numerics import _EM_TARGET, Interval, Threshold, _check_radius, _power_sum, kahan_sum
 
 # Most axes a computation visits one by one: the exact entropy's runs and
 # the per-axis fallback of a two-term log-product raise ScanCapExceeded
@@ -144,8 +145,6 @@ def _log2_sum(values: Iterable[float], count: int, largest: float, smallest: flo
     return Interval(total - slack, total + slack)
 
 
-# The kernel stops adding explicit terms once its rest is below this share.
-_EM_TARGET = 2.0**-46
 # Most explicit head terms a two-term tail sum or log-product adds before
 # its series, most terms of that series (which needs about 36/(1 - x) of
 # them as x nears 1), and the axes a two-term log-product sums one by one.
@@ -189,99 +188,6 @@ def _scaled_tail(z: tuple, c: float, alpha: float, a: int, theta: float) -> Inte
     except OverflowError as exc:
         raise ScanCapExceeded(f"a tail power sum from index {a} passes the float range") from exc
     return _outward(z[0] * math.nextafter(max(0.0, base - err) ** theta, 0.0), hi)
-
-
-def _power_sum(s: float, a: int, b, s_err: float) -> tuple:
-    """Certified enclosure (lo, hi) of sum_{n=a..b} (n/a)**-s' / a for every
-    exponent s' within ``s_err`` of the float s > 0, with b >= a >= 1, or
-    b = inf and s > 1: the one kernel of the tail sums and two-term series,
-    scaled at a so that its terms stay in the float range, and per unit of
-    a so that at b = inf it falls with a towards 1/(s-1).
-
-    Explicit terms run from a up to a cut c (up to 16 at first, then 16,
-    then doubled, never past b) until a bound on the rest past c falls
-    below 2**-46 of the value.  One is the Euler-Maclaurin formula over
-    [c, b] per unit of c (L = ln(b/c), weights w_i of ``_EM_WEIGHTS``),
-    times (c/a)**-s c/a:
-
-        expm1((1-s) L)/(1-s)  (L at s = 1)  +  ((1 + (b/c)**-s)/2
-          + sum_i w_i s(s+1)...(s+2i) c**(-1-2i) (1 - (c/b)**(s+1+2i))) / c;
-
-    every even derivative of x**-s is positive, so the first omitted
-    correction bounds its remainder.  The other, for a large s, is
-    (c/a)**-s (1 + min(b - c, c/(s-1))), or (c/a)**-s (b - c + 1) for
-    s <= 1.  At c = a every part of the formula falls with a, and so do
-    the enclosure's ends.  They cover:
-
-    * each term (n/a)**-s, a power of a correctly rounded quotient, within
-      exp((s + 2) 2**-52) - 1 relative, and 2**-1074 where it underflows;
-    * L within 2**-52 (1 + L), which moves the integral by b (b/c)**-s
-      times that, and (b/c)**-s by s times that, relatively; 2**-50 of the
-      value covers the few roundings of each term and of the sum;
-    * 2**-46 (s + 16) of the corrections' sizes, for some 40 roundings of
-      their products and sum, and for each 1 - (c/b)**(s+1+2i) the error
-      of (b/c)**-s times s + 13 (L (c/b)**(s+1) <= 1 absorbs the 1 + L).
-      The sizes fall and then rise, so they add up to at most
-      6 (s/(12 c) + remainder);
-    * the exponent: the sum's derivative in s' is minus its mean of
-      ln(n/a), at most ln(b/a), and below ln(c/a) + 1/(s'-1) + 1 (less
-      over a finite range), so an error e moves the sum by a factor within
-      exp(+-e min(ln(b/a), ln(c/a) + 2 + 1/(s-1-e))).
-    """
-    terms: list = []
-    cut = a
-    if a < 16:
-        terms = [(n / a) ** -s for n in range(a, min(16, b + 1))]
-        cut = 16
-    head = math.fsum(terms)
-    while True:
-        if cut > b:
-            value, slack = head / a, 0.0
-            break
-        first = (cut / a) ** -s
-        if b < math.inf:
-            L = math.log(b / cut)
-            z = (1.0 - s) * L
-            integral = L if z == 0.0 else math.expm1(z) / (1.0 - s)
-            end = math.exp(-s * L)
-        else:
-            L, integral, end = math.inf, 1.0 / (s - 1.0), 0.0
-        # c**(-1-2i) (1 - (c/b)**(s+1+2i)) = c**(-1-2i) - (b/c)**-s b**(-1-2i)
-        poch, power, far = s, 1.0 / cut, end / b
-        inverse, outer = power * power, 1.0 / (float(b) * b)
-        corrections = 0.0
-        for weight, j in zip(_EM_WEIGHTS[:6], (1, 3, 5, 7, 9, 11)):
-            corrections += weight * poch * (power - far)
-            poch *= (s + j) * (s + j + 1)
-            power *= inverse
-            far *= outer
-        rem = abs(_EM_WEIGHTS[6]) * poch * power
-        if rem < math.inf:  # no Pochhammer product overflowed
-            tail = integral + (0.5 * (1.0 + end) + corrections) / cut
-            factor = first * (cut / a)  # per unit of c to per unit of a
-            value = head / a + factor * tail
-            if first * rem <= _EM_TARGET * a * value:
-                drift = (1.0 + L) * (b + s) * end if end else 0.0
-                sizes = 6.0 * (s / (12.0 * cut) + rem)
-                err = rem + 2.0**-50 * drift + 2.0**-46 * (s + 16.0) * sizes
-                slack = first * err / a + (2.0**-50 * factor + 2.0**-1074) * tail
-                break
-        room = b - cut if s <= 1.0 else min(b - cut, cut / (s - 1.0))
-        rest = (first + 2.0**-1074) * (1.0 + room)
-        if rest <= _EM_TARGET * head:
-            value, slack = head / a, rest / a
-            break
-        step = max(16, cut - a)
-        terms.extend((n / a) ** -s for n in range(cut, min(cut + step, b + 1)))
-        head = math.fsum(terms)
-        cut += step
-    slack += (math.expm1((s + 2.0) * 2.0**-52) + 2.0**-50) * value + len(terms) * 2.0**-1074 / a
-    gap = s - 1.0 - s_err
-    reach = math.log(cut / a) + 2.0 + 1.0 / gap if gap > 0 else math.inf
-    spread = s_err * (min(math.log(b / a), reach) if b < math.inf else reach)
-    grow = (math.expm1(spread) if spread < 700.0 else math.inf) + 2.0**-50
-    lo = math.nextafter((value - slack) / (1.0 + grow), -math.inf)
-    return max(0.0, lo), math.nextafter((value + slack) * (1.0 + grow), math.inf)
 
 
 def _series(

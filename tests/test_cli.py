@@ -14,6 +14,8 @@ from ellentropy.errors import InvalidModel
 from ellentropy.hyperrect import exact_entropy
 from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial
 
+from series_reference import zeta_series_constant_alternating
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -261,7 +263,16 @@ class TestSubcommands:
         code, out, _ = run(capsys, "constants")
         payload = json.loads(out)
         assert payload["gamma_pq_table"]["2,2"] == 1.0
-        assert "1.0" in payload["zeta_series_table"]
+        table = payload["zeta_series_table"]
+        assert sorted(table) == ["0.5", "1.0", "2.0"]
+        for b, value in table.items():
+            assert abs(value - zeta_series_constant_alternating(float(b))) <= 1e-12
+
+    @pytest.mark.parametrize("b", ["inf", "nan", "0", "1e17"])
+    def test_zeta_series_without_enclosure_is_2(self, capsys, b):
+        code, out, err = run(capsys, "constants", "--zeta-series", b)
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "invalid-input"
 
     def test_bound_finite_payload(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,8 @@
 import math
+import statistics
+import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -116,9 +119,26 @@ class TestZeta:
     def test_three_halves(self):
         assert zeta(1.5) == pytest.approx(2.6123753486854883, abs=1e-12)
 
-    def test_domain(self):
+    @pytest.mark.parametrize("s", [1.0 + 2.0**-40, 1.01, 1.5, 2.5, 40.0])
+    def test_against_mpmath(self, s):
+        with mpmath.workdps(40):
+            truth = mpmath.zeta(mpmath.mpf(s))
+            assert abs(zeta(s) - truth) <= 2.0**-41 * truth
+
+    @pytest.mark.parametrize("s", [1e3, 1e4, 1e15, 1e19, 1e300])
+    def test_large_s_within_promise_or_refused(self, s):
+        # zeta(s) rounds to 1 here; the kernel's bound on the rounding of
+        # its powers grows with s, and overflows past s near 3e18
+        try:
+            value = zeta(s)
+        except EntropyError:
+            return
+        assert abs(value - 1.0) <= 2.0**-41
+
+    @pytest.mark.parametrize("s", [1.0, 0.5, INF, math.nan])
+    def test_domain(self, s):
         with pytest.raises(EntropyError):
-            zeta(1.0)
+            zeta(s)
 
     def test_against_partial_sums_with_remainder(self):
         # independent check: 1e6 explicit terms plus integral bracket
@@ -142,10 +162,30 @@ class TestZetaSeriesConstant:
         val = zeta_series_constant(1.0)
         assert partial <= val <= partial + hi_rem + 1e-9
 
-    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("b", [0.05, 0.3, 0.5, 1.0, 2.0, 5.0, 10.0])
     def test_dual_route_agreement(self, b):
-        assert abs(zeta_series_constant(b) - zeta_series_constant_alternating(b)) <= 1e-8
+        assert abs(zeta_series_constant(b) - zeta_series_constant_alternating(b)) <= 1e-12
 
-    def test_domain(self):
+    @pytest.mark.parametrize("b", [1e3, 1e6, 1e9, 1e12])
+    def test_large_b_within_promise_or_refused(self, b):
+        # the float 1 + 1/b loses 1/b's last bits, about b 2**-53 relative
+        truth = zeta_series_constant_alternating(b)
+        try:
+            value = zeta_series_constant(b)
+        except EntropyError:
+            return
+        assert abs(value - truth) <= 2.0**-40 * truth
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, INF, math.nan, 1e17, 1e300])
+    def test_domain(self, b):
         with pytest.raises(EntropyError):
-            zeta_series_constant(0.0)
+            zeta_series_constant(b)
+
+    def test_time_budget(self):
+        zeta_series_constant(1.0)
+        times = []
+        for _ in range(21):
+            start = time.perf_counter()
+            zeta_series_constant(1.0)
+            times.append(time.perf_counter() - start)
+        assert statistics.median(times) < 3e-4
