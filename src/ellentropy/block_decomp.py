@@ -17,8 +17,8 @@ table has an empty residual past its end, and is case II at every q < p.
 
 Combined radii maximize the weighted q-combination over a finite weight
 set Omega.  Mixed ellipsoids (an outer weighted l2 norm over inner l2
-blocks) get the sharper treatment through a sphere-covering density bound
-with the Rogers constant kept parametric, weights drawn from the lattice
+blocks) cover each leading block, a Euclidean ball, through the same
+explicit density bound, with weights drawn from the lattice
 {omega : dbar^(2 gamma) omega_j^2 integer, ||omega||_2 <= 1 + sqrt(k+1)/dbar^gamma}.
 """
 
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
-from .constants import ExponentLike, as_exponent
+from .constants import ExponentLike, HolderExponent, as_exponent
 from .errors import (
     EntropyError,
     NonCompactRegime,
@@ -37,6 +37,7 @@ from .errors import (
 from .finite_bounds import (
     FD1,
     FD2,
+    FiniteBound,
     _admissible_radius,
     _density_upper_bound,
     product_grid_upper_bound,
@@ -250,6 +251,25 @@ def _cut(model, case: str, tail_at, power: float, eps: float, target: float) -> 
     return last_passing(passes, lo, fail - 1, near=probe(u)) + 1
 
 
+def _density_cover(
+    p: HolderExponent, q: HolderExponent, d: int, mu_d: float, lg_gmean: float, rho: float
+) -> Tuple[FiniteBound, float]:
+    """The density bound on a block of dimension d >= 3, smallest axis mu_d
+    and log2 geometric mean lg_gmean at radius rho, with eta set to the
+    smallest value whose admissible radius reaches rho; returns the bound
+    and that eta."""
+    rp, rq = p.reciprocal(), q.reciprocal()
+    candidates = [(rho / (d ** (-max(rp - rq, 0.0)) * mu_d), FD1)]
+    if rp <= rq:
+        candidates.append((rho / (d ** (rq - rp) * mu_d), FD2))
+    eta, density_case = min(candidates)
+    # eta * x * mu_d can round to just below rho; step eta up until the
+    # case's admissible radius reaches rho
+    while _admissible_radius(p, q, d, mu_d, eta, density_case)[1] < rho:
+        eta = math.nextafter(eta, math.inf)
+    return _density_upper_bound(p, q, d, mu_d, lg_gmean, rho, eta), eta
+
+
 def infinite_upper_bound(
     model: SemiAxisModel,
     p: ExponentLike,
@@ -302,18 +322,8 @@ def infinite_upper_bound(
 
     notes = []
     if d >= 3:
-        mu_d = axis(model, d)
         # the upper end of the log-product keeps the bound certified
-        lg_gmean = model.log_product(d).hi / d
-        candidates = [(rho / (d ** (-max(rp - rq, 0.0)) * mu_d), FD1)]
-        if rp <= rq:
-            candidates.append((rho / (d ** (rq - rp) * mu_d), FD2))
-        eta, density_case = min(candidates)
-        # eta * x * mu_d can round to just below rho; step eta up until the
-        # case's admissible radius reaches rho
-        while _admissible_radius(p, q, d, mu_d, eta, density_case)[1] < rho:
-            eta = math.nextafter(eta, math.inf)
-        fb = _density_upper_bound(p, q, d, mu_d, lg_gmean, rho, eta)
+        fb, eta = _density_cover(p, q, d, axis(model, d), model.log_product(d).hi / d, rho)
         bits = fb.log2_bound
         kappa = fb.kappa_used
         notes.append(f"density case {fb.case_tag}")
@@ -339,16 +349,6 @@ def infinite_upper_bound(
     return EntropyResult(bits, CERTIFIED_UPPER, eps), cert
 
 
-DEFAULT_ROGERS_K = 1024.0
-"""Placeholder for the sphere-covering density constant.
-
-The covering result guarantees existence of some K > 0 for dimensions
->= 9 but never quantifies it; every number depending on K is therefore
-parametric in it, and defaults are chosen generously.  Downstream checks
-are either monotone in K or independent of it.
-"""
-
-
 def omega_lattice_count(dbar: int, k: int, gamma: float) -> int:
     """Exact size of the weight lattice for a mixed bound.
 
@@ -357,10 +357,17 @@ def omega_lattice_count(dbar: int, k: int, gamma: float) -> int:
     sum m_j <= (dbar^gamma + sqrt(k+1))^2.  Counting lattice points in the
     simplex is a binomial coefficient.  The float budget is nudged upward
     before flooring: undercounting the lattice would invalidate the bound,
-    overcounting only loosens it immaterially.
+    overcounting only loosens it immaterially.  A budget past the float
+    range raises ScanCapExceeded.
     """
-    x = (dbar**gamma + math.sqrt(k + 1)) ** 2
-    budget = math.floor(x * (1.0 + 1e-12))
+    try:
+        x = (dbar**gamma + math.sqrt(k + 1)) ** 2
+        budget = math.floor(x * (1.0 + 1e-12))
+    except OverflowError:
+        raise ScanCapExceeded(
+            f"the weight lattice budget (dbar^gamma + sqrt(k+1))^2 at dbar={dbar}, "
+            f"gamma={gamma:g} lies past the float range"
+        ) from None
     return math.comb(budget + k + 1, k + 1)
 
 
@@ -379,31 +386,27 @@ def mixed_upper_bound(
     spec: MixedEllipsoidSpec,
     eps: float,
     gamma: float = 1.0,
-    rogers_K: float = DEFAULT_ROGERS_K,
 ) -> Tuple[EntropyResult, BoundCertificate]:
-    """Upper bound on the entropy of a mixed l2-of-l2 ellipsoid.
+    """Certified upper bound on the entropy of a mixed l2-of-l2 ellipsoid.
 
-    Covers each of the k leading blocks (those with mu_j > eps) as a
-    Euclidean ball at radius eps using the parametric density bound
-    N <= K d^(5/2) (mu/eps)^d, and pays log2(#Omega) for the weight
-    lattice.  The certified radius is the inflated
-    eps_gamma = eps (1 + sqrt(k+1)/dbar^gamma).
+    Covers each of the k leading blocks (those with mu_j > eps), a
+    Euclidean ball of radius mu_j in d_j >= 3 dimensions, at radius eps
+    through the explicit density bound at p = q = 2, as
+    ``infinite_upper_bound`` covers its block, and pays log2(#Omega) for
+    the weight lattice.  The certified radius is the inflated
+    eps_gamma = eps (1 + sqrt(k+1)/dbar^gamma); every finite gamma >= 1
+    gives a certified bound, trading #Omega against the inflation.
     """
-    if gamma < 1:
-        raise EntropyError("gamma must be >= 1")
-    if rogers_K <= 0:
-        raise EntropyError("rogers_K must be positive")
+    if not 1.0 <= gamma < math.inf:
+        raise EntropyError(f"gamma must be finite and >= 1, got {gamma!r}")
     k = _mixed_cut(spec, eps)
     dims = spec.dims[:k]
-    if any(d < 9 for d in dims):
-        raise EntropyError("mixed bound requires every covered block dim >= 9")
     dbar = sum(dims)
     n_omega = omega_lattice_count(dbar, k, gamma)
+    l2 = as_exponent(2)
+    blocks = ((dj, axis(spec.semi_axes, j + 1)) for j, dj in enumerate(dims))
     bits = math.log2(n_omega) + kahan_sum(
-        math.log2(rogers_K)
-        + 2.5 * math.log2(dj)
-        + dj * math.log2(axis(spec.semi_axes, j + 1) / eps)
-        for j, dj in enumerate(dims)
+        _density_cover(l2, l2, dj, mu, math.log2(mu), eps)[0].log2_bound for dj, mu in blocks
     )
     eps_gamma = eps * (1.0 + dbar ** (-gamma) * math.sqrt(k + 1))
     cert = BoundCertificate(
@@ -413,7 +416,7 @@ def mixed_upper_bound(
         tail_radius=_next_axis(spec.semi_axes, k),
         omega_count=n_omega,
         tail_case=CASE_I,
-        notes=(f"parametric in rogers_K={rogers_K:g}", f"gamma={gamma:g}"),
+        notes=("explicit density bound per block (p = q = 2)", f"gamma={gamma:g}"),
     )
     return EntropyResult(bits, CERTIFIED_UPPER, eps_gamma), cert
 

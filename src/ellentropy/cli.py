@@ -228,7 +228,7 @@ def _cmd_mixed_bound(args) -> dict:
     model = parse_model(args.model)
     dims = _parse_list(args.dims, int)
     spec = block_decomp.MixedEllipsoidSpec(model, dims)
-    upper, cert = block_decomp.mixed_upper_bound(spec, args.eps, args.gamma, args.rogers_k)
+    upper, cert = block_decomp.mixed_upper_bound(spec, args.eps, args.gamma)
     lower = block_decomp.mixed_lower_bound(spec, args.eps)
     return {
         "query": {
@@ -237,14 +237,13 @@ def _cmd_mixed_bound(args) -> dict:
             "dims": list(dims),
             "eps": args.eps,
             "gamma": args.gamma,
-            "rogers_k": args.rogers_k,
         },
         "value_bits": _bits_out(upper.bits, args),
         "kind": "upper",
         "epsilon": upper.epsilon,
         "lower": {"value_bits": _bits_out(lower.bits, args), "epsilon": lower.epsilon},
         "certificate": cert.to_json(),
-        "warnings": ["upper bound is parametric in rogers_k"],
+        "warnings": [],
     }
 
 
@@ -472,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--dims", required=True)
     sp.add_argument("--gamma", type=float, default=1.0)
-    sp.add_argument("--rogers-k", type=float, default=block_decomp.DEFAULT_ROGERS_K)
     common(sp)
     sp.set_defaults(func=_cmd_mixed_bound)
 

@@ -25,17 +25,6 @@ class Interval(NamedTuple):
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def __add__(self, other):  # type: ignore[override]
-        if isinstance(other, Interval):
-            return Interval(self.lo + other.lo, self.hi + other.hi)
-        return Interval(self.lo + other, self.hi + other)
-
-    def scale(self, factor: float) -> "Interval":
-        # factor >= 0 preserves orientation
-        if factor < 0:
-            return Interval(self.hi * factor, self.lo * factor)
-        return Interval(self.lo * factor, self.hi * factor)
-
 
 def kahan_sum(values: Iterable[float]) -> float:
     """Compensated summation; partial sums here reach 1e6 terms."""

