@@ -24,7 +24,6 @@ two-term polynomial decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -40,8 +39,7 @@ COMPACT_III = "Compact_iii"
 COMPACT_IV = "Compact_iv"
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(NamedTuple):
     """Classification outcome plus the constants attached to the case."""
 
     case: str

@@ -22,13 +22,14 @@ results carry an explicit warning to that effect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import NamedTuple, Tuple, Union
 
 from .asymptotics import EntropyBand, canonical_band
-from .constants import HolderExponent, as_exponent
-from .errors import EntropyError, NonCompactRegime
+from .constants import ExponentLike, as_exponent
+from .errors import EntropyError, InvalidModel, NonCompactRegime
+from .numerics import _Frozen
 from .sequences import Canonical
 
 FRAME_CONSTANTS_WARNING = "band valid up to wavelet-frame constants"
@@ -37,23 +38,23 @@ SMALL_P_WARNING = (
 )
 
 
-@dataclass(frozen=True)
-class BesovSpec:
+class BesovSpec(_Frozen):
     """Smoothness s, domain dimension d, integrability p1, domain volume."""
 
-    s: float
-    d: int
-    p1: HolderExponent
-    vol_omega: float
+    __slots__ = ("s", "d", "p1", "vol_omega")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p1", as_exponent(self.p1))
-        if not self.s > 0:
+    def __init__(self, s: float, d: int, p1: ExponentLike, vol_omega: float):
+        p1 = as_exponent(p1)
+        if not s > 0:
             raise EntropyError("smoothness s must be positive")
-        if self.d < 1:
+        if d < 1:
             raise EntropyError("domain dimension must be >= 1")
-        if not self.vol_omega > 0:
+        if not vol_omega > 0:
             raise EntropyError("domain volume must be positive")
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "vol_omega", vol_omega)
 
     @property
     def small_p_warning(self) -> bool:
@@ -84,11 +85,18 @@ def semi_axes_from_besov(spec: BesovSpec) -> Canonical:
         raise NonCompactRegime(
             "non-compact parameter combination: s/d must exceed 1/p1 - 1/2"
         )
-    return Canonical(b=e, c=spec.vol_omega**e)
+    try:
+        c = spec.vol_omega**e
+    except OverflowError:
+        c = math.inf
+    if not 0.0 < c < math.inf:
+        raise InvalidModel(
+            f"the induced scale vol^e = {spec.vol_omega!r}^{e!r} lies past the float range"
+        )
+    return Canonical(b=e, c=c)
 
 
-@dataclass(frozen=True)
-class BesovBand:
+class BesovBand(NamedTuple):
     """Entropy band plus the induced model and applicable warnings."""
 
     band: EntropyBand

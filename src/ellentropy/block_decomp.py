@@ -25,7 +25,6 @@ explicit density bound, with weights drawn from the lattice
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from .constants import ExponentLike, HolderExponent, as_exponent
@@ -42,7 +41,7 @@ from .finite_bounds import (
     _density_upper_bound,
     product_grid_upper_bound,
 )
-from .numerics import Threshold, _check_radius, kahan_sum
+from .numerics import Threshold, _check_radius, _Frozen, kahan_sum
 from .results import CERTIFIED_LOWER, CERTIFIED_UPPER, BoundCertificate, EntropyResult
 from .sequences import (
     SemiAxisModel,
@@ -63,40 +62,46 @@ _CUT_LIMIT = 2**53
 _LOG_LIMIT = math.log(_CUT_LIMIT + 0.5)
 
 
-@dataclass(frozen=True)
-class BlockPlan:
+class BlockPlan(_Frozen):
     """A concrete decomposition: block sizes, per-block covering radii,
     weight rows, and the residual tail radius."""
 
-    block_sizes: Tuple[int, ...]
-    inner_radii: Tuple[float, ...]
-    omega: Tuple[Tuple[float, ...], ...]
-    tail_case: str
-    tail_radius: float
+    __slots__ = ("block_sizes", "inner_radii", "omega", "tail_case", "tail_radius")
 
-    def __post_init__(self):
-        k = len(self.block_sizes)
-        if len(self.inner_radii) != k:
+    def __init__(
+        self,
+        block_sizes: Tuple[int, ...],
+        inner_radii: Tuple[float, ...],
+        omega: Tuple[Tuple[float, ...], ...],
+        tail_case: str,
+        tail_radius: float,
+    ):
+        k = len(block_sizes)
+        if len(inner_radii) != k:
             raise EntropyError("one inner radius per block required")
-        for row in self.omega:
+        for row in omega:
             if len(row) != k + 1:
                 raise EntropyError("omega rows must have length k+1")
             if any(w < 0 for w in row):
                 raise EntropyError("omega weights must be non-negative")
+        object.__setattr__(self, "block_sizes", block_sizes)
+        object.__setattr__(self, "inner_radii", inner_radii)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "tail_case", tail_case)
+        object.__setattr__(self, "tail_radius", tail_radius)
 
 
-@dataclass(frozen=True)
-class MixedEllipsoidSpec:
+class MixedEllipsoidSpec(_Frozen):
     """Semi-axes plus the block dimensions of a mixed (l2-of-l2) ellipsoid."""
 
-    semi_axes: SemiAxisModel
-    dims: Tuple[int, ...]
+    __slots__ = ("semi_axes", "dims")
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
+    def __init__(self, semi_axes: SemiAxisModel, dims: Tuple[int, ...]):
+        dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in dims):
             raise EntropyError("block dimensions must be >= 1")
+        object.__setattr__(self, "semi_axes", semi_axes)
+        object.__setattr__(self, "dims", dims)
 
 
 def tail_radius(model: SemiAxisModel, d: int, p: ExponentLike, q: ExponentLike) -> float:
@@ -259,10 +264,16 @@ def _density_cover(
     smallest value whose admissible radius reaches rho; returns the bound
     and that eta."""
     rp, rq = p.reciprocal(), q.reciprocal()
-    candidates = [(rho / (d ** (-max(rp - rq, 0.0)) * mu_d), FD1)]
+    # each case's admissible radius at eta = 1; eta is rho over it
+    units = [(d ** (-max(rp - rq, 0.0)) * mu_d, FD1)]
     if rp <= rq:
-        candidates.append((rho / (d ** (rq - rp) * mu_d), FD2))
-    eta, density_case = min(candidates)
+        units.append((d ** (rq - rp) * mu_d, FD2))
+    eta, density_case = min((rho / u if u > 0.0 else math.inf, case) for u, case in units)
+    if not 0.0 < eta < math.inf:
+        raise ScanCapExceeded(
+            f"eta = rho / (d^x mu_d) at d={d}, mu_d={mu_d!r}, rho={rho!r} "
+            f"lies past the float range"
+        )
     # eta * x * mu_d can round to just below rho; step eta up until the
     # case's admissible radius reaches rho
     while _admissible_radius(p, q, d, mu_d, eta, density_case)[1] < rho:

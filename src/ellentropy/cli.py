@@ -24,7 +24,6 @@ import math
 import sys
 from typing import List, Optional
 
-from . import asymptotics, besov, block_decomp, constants, finite_bounds, hyperrect
 from .constants import LN2, HolderExponent, as_exponent
 from .errors import (
     EnumerationTooLarge,
@@ -32,7 +31,9 @@ from .errors import (
     NonCompactRegime,
     ScanCapExceeded,
 )
-from .sequences import SemiAxisModel, axis, model_from_json
+
+# Each _cmd_* handler imports the modules it runs, so a process pays at
+# start-up only for its own subcommand.
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -40,7 +41,7 @@ EXIT_NONCOMPACT = 3
 EXIT_CAP = 4
 
 
-def parse_model(text: str) -> SemiAxisModel:
+def parse_model(text: str):
     """A model from inline JSON, ``@file.json`` or the shorthand.
 
     The shorthand ``kind:key=value,...`` becomes the JSON dict
@@ -48,6 +49,8 @@ def parse_model(text: str) -> SemiAxisModel:
     field ``inner`` of the nested dict ``outer`` (``tail_b=1`` gives
     ``{"tail": {"b": "1"}}``).
     """
+    from .sequences import model_from_json
+
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             return model_from_json(json.load(fh))
@@ -144,6 +147,9 @@ def _json_int(n: int):
 
 
 def _cmd_exact(args) -> dict:
+    from . import hyperrect
+    from .sequences import axis
+
     model = parse_model(args.model)
     result = hyperrect.exact_entropy(model, args.eps)
     payload = {
@@ -171,6 +177,8 @@ def _cmd_exact(args) -> dict:
 
 
 def _cmd_bound_finite(args) -> dict:
+    from . import finite_bounds
+
     E = finite_bounds.FiniteEllipsoid(as_exponent(args.p), _parse_list(args.axes, float))
     lower = finite_bounds.volume_lower_bound(E, as_exponent(args.q), args.eps)
     payload = {
@@ -204,6 +212,8 @@ def _cmd_bound_finite(args) -> dict:
 
 
 def _cmd_bound_infinite(args) -> dict:
+    from . import block_decomp
+
     model = parse_model(args.model)
     result, cert = block_decomp.infinite_upper_bound(
         model, as_exponent(args.p), as_exponent(args.q), args.eps
@@ -225,6 +235,8 @@ def _cmd_bound_infinite(args) -> dict:
 
 
 def _cmd_mixed_bound(args) -> dict:
+    from . import block_decomp
+
     model = parse_model(args.model)
     dims = _parse_list(args.dims, int)
     spec = block_decomp.MixedEllipsoidSpec(model, dims)
@@ -247,7 +259,7 @@ def _cmd_mixed_bound(args) -> dict:
     }
 
 
-def _regime_payload(regime: asymptotics.Regime) -> dict:
+def _regime_payload(regime) -> dict:
     return {
         "case": regime.case,
         "b_star": regime.b_star,
@@ -259,6 +271,8 @@ def _regime_payload(regime: asymptotics.Regime) -> dict:
 
 
 def _cmd_classify(args) -> dict:
+    from . import asymptotics
+
     regime = asymptotics.classify(
         args.p, args.q, args.b,
         tail_summable_inv_b=args.tail_summable,
@@ -281,6 +295,8 @@ class _NonCompactWithPayload(Exception):
 
 
 def _cmd_asymptotic(args) -> dict:
+    from . import asymptotics
+
     band = asymptotics.canonical_band(
         as_exponent(args.p), as_exponent(args.q), args.b, args.c, args.eps
     )
@@ -304,6 +320,8 @@ def _cmd_asymptotic(args) -> dict:
 
 
 def _cmd_estimator(args) -> dict:
+    from . import asymptotics
+
     model = parse_model(args.model)
     bits = asymptotics.entropy_estimator(model, args.eps)
     return {
@@ -316,7 +334,7 @@ def _cmd_estimator(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
-    from . import oracle  # numpy is loaded only for this subcommand
+    from . import finite_bounds, oracle  # numpy is loaded only for this subcommand
 
     E = finite_bounds.FiniteEllipsoid(as_exponent(args.p), _parse_list(args.axes, float))
     rep = oracle.sandwich_report(
@@ -347,6 +365,8 @@ def _cmd_oracle(args) -> dict:
 
 
 def _cmd_besov(args) -> dict:
+    from . import besov
+
     spec = besov.BesovSpec(args.s, args.d, as_exponent(args.p1), args.vol)
     bb = besov.besov_entropy_band(spec, args.eps)
     return {
@@ -368,6 +388,8 @@ def _cmd_besov(args) -> dict:
 
 
 def _cmd_constants(args) -> dict:
+    from . import constants
+
     payload = {"query": {"subcommand": "constants"}, "kind": "constants", "warnings": []}
     if args.gamma_pq:
         payload["value"] = constants.gamma_pq(as_exponent(args.p), as_exponent(args.q))
@@ -395,11 +417,17 @@ def _cmd_constants(args) -> dict:
 
 def _sweep_value(what: str, model, p, q, eps) -> tuple:
     if what == "exact":
+        from . import hyperrect
+
         return hyperrect.exact_entropy(model, eps).bits, "exact"
     if what == "bound-infinite":
+        from . import block_decomp
+
         result, _ = block_decomp.infinite_upper_bound(model, p, q, eps)
         return result.bits, "upper"
     if what == "estimator":
+        from . import asymptotics
+
         return asymptotics.entropy_estimator(model, eps), "asymptotic"
     raise EntropyError(f"unknown sweep target {what!r}")
 

@@ -18,31 +18,29 @@ the same kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import EntropyError
-from .numerics import _power_sum
+from .numerics import _Frozen, _power_sum
 
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class HolderExponent:
+class HolderExponent(_Frozen):
     """An exponent in [1, inf]; infinity is math.inf, never a large float.
 
     All formulas consume the exponent through ``reciprocal()``, which is
     exactly 0.0 at infinity, so limit conventions hold without tolerance.
     """
 
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        v = float(self.value)
-        object.__setattr__(self, "value", v)
+    def __init__(self, value: float):
+        v = float(value)
         if math.isnan(v) or v < 1.0:
             raise EntropyError(f"Hoelder exponent must lie in [1, inf], got {v}")
+        object.__setattr__(self, "value", v)
 
     @property
     def is_inf(self) -> bool:

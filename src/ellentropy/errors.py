@@ -30,9 +30,9 @@ class EnumerationTooLarge(EntropyError):
 
 class ScanCapExceeded(EntropyError):
     """An answer lies past what its entry point computes: more axes to
-    visit one by one than ``sequences.AXIS_CAP``, an index or a sum past
-    the float range, or a block cut past 2**53, where float(d) stops
-    being exact."""
+    visit one by one than ``sequences.AXIS_CAP``, an index, a sum, an
+    axis or a density parameter eta past the float range, or a block cut
+    past 2**53, where float(d) stops being exact."""
 
 
 class RadiusOutOfRange(EntropyError):

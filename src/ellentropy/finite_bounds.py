@@ -23,35 +23,33 @@ the random and the saturating centers; it needs d >= 3 so ln ln d > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .constants import ExponentLike, HolderExponent, as_exponent, volume_ratio
-from .errors import EntropyError, RadiusOutOfRange
-from .numerics import _ceil_ratio, _check_radius, kahan_sum
+from .errors import EntropyError, RadiusOutOfRange, ScanCapExceeded
+from .numerics import _ceil_ratio, _check_radius, _Frozen, kahan_sum
 
 FD1 = "FD1"
 FD2 = "FD2"
 VOLUME_LOWER = "volume-lower"
 
 
-@dataclass(frozen=True)
-class FiniteEllipsoid:
+class FiniteEllipsoid(_Frozen):
     """A finite-dimensional p-ellipsoid: exponent plus sorted semi-axes."""
 
-    p: HolderExponent
-    axes: Tuple[float, ...]
+    __slots__ = ("p", "axes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_exponent(self.p))
-        axes = tuple(float(a) for a in self.axes)
-        object.__setattr__(self, "axes", axes)
+    def __init__(self, p: ExponentLike, axes: Sequence[float]):
+        p = as_exponent(p)
+        axes = tuple(float(a) for a in axes)
         if not axes:
             raise EntropyError("ellipsoid needs at least one axis")
         if any(a <= 0 for a in axes):
             raise EntropyError("axes must be positive")
         if any(b > a for a, b in zip(axes, axes[1:])):
             raise EntropyError("axes must be non-increasing")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "axes", axes)
 
     @property
     def dim(self) -> int:
@@ -61,8 +59,7 @@ class FiniteEllipsoid:
         return kahan_sum(math.log2(a) for a in self.axes) / self.dim
 
 
-@dataclass(frozen=True)
-class FiniteBound:
+class FiniteBound(NamedTuple):
     """A one-sided certified bound on log2 N(eps).
 
     Lower bounds hold for every radius; upper bounds are only asserted
@@ -212,6 +209,10 @@ def product_grid_upper_bound(
     combination of the radii stays at most eps.  Each ceiling is exact,
     and the bits are log2 of the integer product of the counts.  Useful
     fallback at dimensions below the density bound's reach.
+
+    The axes do not increase.  So an axis that underflowed to 0.0 is at
+    most the one before it, and takes one cell where that one does;
+    elsewhere it raises ScanCapExceeded.
     """
     _check_radius(eps)
     rq = as_exponent(q).reciprocal()
@@ -219,4 +220,13 @@ def product_grid_upper_bound(
     per_axis = eps * d ** (-rq)
     if rq:
         per_axis = math.nextafter(per_axis, 0.0)
-    return math.log2(math.prod(_ceil_ratio(a, per_axis) for a in axes))
+    counts = [_ceil_ratio(a, per_axis) for a in axes]
+    for n, count in enumerate(counts):
+        if count == 0:
+            if n == 0 or counts[n - 1] != 1:
+                raise ScanCapExceeded(
+                    f"axis {n + 1} underflowed to 0.0, and no axis before it "
+                    f"bounds it within one cell of radius {per_axis!r}"
+                )
+            counts[n] = 1
+    return math.log2(math.prod(counts))

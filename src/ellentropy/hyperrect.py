@@ -27,8 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import constants
 from .errors import EnumerationTooLarge, InvalidModel, ScanCapExceeded
@@ -40,8 +39,7 @@ ENUMERATION_CAP = 10**7
 Runs = Tuple[Tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class HyperrectEntropy:
+class HyperrectEntropy(NamedTuple):
     """Exact entropy of a hyperrectangle in sup-norm.
 
     ``count_runs`` holds the counts ceil(mu_n/eps) of the axes needing more

@@ -1,10 +1,12 @@
 """Small numeric helpers: compensated summation, intervals, exact threshold
 tests and ceilings, the radius check, and ``_power_sum``, the one
-Euler-Maclaurin kernel of the package's power sums."""
+Euler-Maclaurin kernel of the package's power sums.  Also ``_Frozen``, the
+base of the package's validating value classes."""
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -24,6 +26,45 @@ class Interval(NamedTuple):
     @property
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
+
+
+class _Frozen:
+    """Base of an immutable value class whose fields are its ``__slots__``,
+    in the order of its ``__init__`` parameters.
+
+    Equality and hashing go by the field values within one class, repr
+    reads ``Name(field=value, ...)``, and assigning or deleting a field
+    raises AttributeError.  A subclass validates its arguments in
+    ``__init__`` and stores each field with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._values = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which validates again
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
 def kahan_sum(values: Iterable[float]) -> float:

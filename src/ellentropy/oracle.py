@@ -45,8 +45,7 @@ moves forward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,8 +64,7 @@ from .sequences import Tabulated
 GRID_POINT_CAP = 10**7
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     """Counts from the grid oracle; either count may be absent.
 
     ``cover_count`` upper-bounds N(eps + delta); ``pack_count``
@@ -287,8 +285,7 @@ def greedy_pack(
     )
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     """All bounds evaluated on one instance, with the ordering checks.
 
     ``checks`` maps a named inequality to a bool; ``values`` holds the

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 # Tags for EntropyResult.kind.
 EXACT = "exact"
@@ -12,8 +11,7 @@ CERTIFIED_UPPER = "certified-upper"
 ASYMPTOTIC = "asymptotic"
 
 
-@dataclass(frozen=True)
-class EntropyResult:
+class EntropyResult(NamedTuple):
     """An entropy value in bits, tagged with what it certifies.
 
     ``epsilon`` is the covering radius the value refers to (which may be
@@ -25,8 +23,7 @@ class EntropyResult:
     epsilon: float
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """The data backing a certified bound, for auditability."""
 
     effective_dimension: int
@@ -37,7 +34,7 @@ class BoundCertificate:
     tail_case: str = "I"
     eta: Optional[float] = None
     kappa: Optional[float] = None
-    notes: Tuple[str, ...] = field(default_factory=tuple)
+    notes: Tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         out = {

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, List, NamedTuple, Optional, Protocol
 
 from .constants import LN2
 from .errors import DivergentTail, IndexBeyondTable, InvalidModel, ScanCapExceeded
-from .numerics import _EM_TARGET, Interval, Threshold, _check_radius, _power_sum, kahan_sum
+from .numerics import _EM_TARGET, Interval, Threshold, _check_radius, _Frozen, _power_sum, kahan_sum
 
 # Most axes a computation visits one by one: the exact entropy's runs and
 # the per-axis fallback of a two-term log-product raise ScanCapExceeded
@@ -241,19 +240,19 @@ def _series(
     return math.fsum(lows) - slack, math.fsum(highs) + slack
 
 
-@dataclass(frozen=True)
-class Canonical:
+class Canonical(_Frozen):
     """mu_n = c * n**-b with b, c > 0."""
 
-    b: float
-    c: float
+    __slots__ = ("b", "c")
 
     length = None
     rising_head = True  # the head is empty
 
-    def __post_init__(self):
-        if not (self.b > 0 and self.c > 0):
+    def __init__(self, b: float, c: float):
+        if not (b > 0 and c > 0):
             raise InvalidModel("canonical model requires b > 0 and c > 0")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     @property
     def decay_index(self) -> float:
@@ -318,26 +317,26 @@ class Canonical:
         return {"kind": "canonical", "b": self.b, "c": self.c}
 
 
-@dataclass(frozen=True)
-class TwoTermPolynomial:
+class TwoTermPolynomial(_Frozen):
     """mu_n = c1 * n**-alpha1 + c2 * n**-alpha2 with c1 > 0, alpha1 < alpha2.
 
     n**alpha2 mu_n = c1 n**(alpha2 - alpha1) + c2 grows with n, so the law
     is positive everywhere exactly when mu_1 = c1 + c2 is.
     """
 
-    c1: float
-    c2: float
-    alpha1: float
-    alpha2: float
+    __slots__ = ("c1", "c2", "alpha1", "alpha2")
 
     length = None
     rising_head = True
 
-    def __post_init__(self):
-        if not (self.c1 > 0 and self.alpha1 > 0 and self.alpha2 > 0):
+    def __init__(self, c1: float, c2: float, alpha1: float, alpha2: float):
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "alpha1", alpha1)
+        object.__setattr__(self, "alpha2", alpha2)
+        if not (c1 > 0 and alpha1 > 0 and alpha2 > 0):
             raise InvalidModel("two-term model requires c1 > 0 and positive exponents")
-        if not self.alpha1 < self.alpha2:
+        if not alpha1 < alpha2:
             raise InvalidModel("two-term model requires alpha1 < alpha2")
         if not self.axis(1) > 0:
             raise InvalidModel("two-term model requires mu_1 = c1 + c2 > 0")
@@ -516,8 +515,7 @@ class TwoTermPolynomial:
         }
 
 
-@dataclass(frozen=True)
-class Tabulated:
+class Tabulated(_Frozen):
     """An explicit finite prefix, optionally continued by a canonical tail.
 
     The tail, when present, is evaluated at the global index, so the model
@@ -525,14 +523,12 @@ class Tabulated:
     Every index past the table is sent to the tail.
     """
 
-    values: tuple
-    tail: Optional[Canonical] = None
+    __slots__ = ("values", "tail")
 
     rising_head = False
 
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values: tuple, tail: Optional[Canonical] = None):
+        vals = tuple(float(v) for v in values)
         if not vals:
             raise InvalidModel("tabulated model requires at least one value")
         if any(v <= 0 for v in vals):
@@ -540,8 +536,10 @@ class Tabulated:
         for a, b in zip(vals, vals[1:]):
             if b > a:
                 raise InvalidModel("tabulated values must be non-increasing")
-        if self.tail is not None and self.tail.axis(len(vals) + 1) > vals[-1]:
+        if tail is not None and tail.axis(len(vals) + 1) > vals[-1]:
             raise InvalidModel("canonical tail exceeds last table value")
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "tail", tail)
 
     @property
     def decay_index(self) -> Optional[float]:

@@ -10,7 +10,7 @@ from ellentropy.besov import (
     semi_axes_from_besov,
 )
 from ellentropy.constants import HolderExponent
-from ellentropy.errors import EntropyError
+from ellentropy.errors import EntropyError, InvalidModel
 
 INF = math.inf
 LN2 = math.log(2.0)
@@ -33,6 +33,12 @@ class TestInducedModel:
     def test_volume_scales_c(self):
         m = semi_axes_from_besov(spec(1.0, 1, 2, 2.0))
         assert m.c == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("vol", [7.05641e7, 1e-7])
+    def test_scale_past_the_float_range_rejected(self, vol):
+        # vol^e at e ~ 67 overflows for the large volume, underflows for the small
+        with pytest.raises(InvalidModel, match=r"vol\^e .* past the float range"):
+            semi_axes_from_besov(spec(67.5965, 1, 1.5, vol))
 
     def test_noncompact_combination_rejected(self):
         with pytest.raises(EntropyError):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -94,6 +93,26 @@ class TestTailRadius:
 
 
 class TestInfiniteUpperBound:
+    # b ~ 7e17 and 2e17: from the second axis on, c n**-b underflows to 0.0
+    UNDERFLOWING = Canonical(b=7.03989e17, c=1.02693e-12)
+
+    def test_underflowed_axis_within_one_cell(self):
+        # mu_1 = 1e-12 takes one cell at radius ~ eps/2, so mu_2 does too
+        result, cert = infinite_upper_bound(self.UNDERFLOWING, 3, 1, 0.00676)
+        assert cert.block_sizes == (2,) and result.bits == 0.0
+
+    @pytest.mark.parametrize(
+        "model, p, q, eps, match",
+        [
+            (UNDERFLOWING, 3, 1, 8.073e-20, "axis 2 underflowed to 0.0"),
+            (UNDERFLOWING, 3, 1, 9.641e-37, "eta .* mu_d=0.0"),
+            (Canonical(b=1.88799e17, c=1.19923e11), 3, 1.5, 2.64738e-63, "eta .* mu_d=0.0"),
+        ],
+    )
+    def test_axis_below_the_float_range_is_a_cap(self, model, p, q, eps, match):
+        with pytest.raises(ScanCapExceeded, match=match):
+            infinite_upper_bound(model, p, q, eps)
+
     @pytest.mark.parametrize(
         "model, p, q, eps",
         [
@@ -219,7 +238,7 @@ def _bound(model, p, q, eps):
         result, cert = infinite_upper_bound(model, p, q, eps)
     except EntropyError as exc:
         return type(exc)
-    return dataclasses.asdict(result), dataclasses.asdict(cert)
+    return result._asdict(), cert._asdict()
 
 
 def _tail_sums(model, p, q, eps):
@@ -496,6 +515,11 @@ class TestMixedBounds:
         with pytest.raises(EntropyError, match="gamma") as info:
             mixed_upper_bound(self.spec(), 0.5, gamma=gamma)
         assert not isinstance(info.value, ScanCapExceeded)
+
+    def test_eta_below_the_float_range_is_a_cap(self):
+        # eta = eps / mu_1 = 1e-600 underflows; it is not a bad eta argument
+        with pytest.raises(ScanCapExceeded, match="eta .* past the float range"):
+            mixed_upper_bound(MixedEllipsoidSpec(Tabulated((1e300,)), (9,)), 1e-300)
 
     def test_lattice_budget_past_the_float_range_is_a_cap(self):
         with pytest.raises(ScanCapExceeded):

@@ -1,4 +1,5 @@
 import decimal
+import importlib
 import json
 import math
 import os
@@ -192,6 +193,32 @@ class TestExitCodes:
         )
         assert code == 2 and out == ""
         assert "gamma" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("argv", [
+        # mu_d underflows to 0.0 at the cut
+        ("bound-infinite", "--model", "canonical:b=1.88799e+17,c=1.19923e+11",
+         "--p", "3", "--q", "1.5", "--eps", "2.64738e-63"),
+        # eta = eps / mu_1 underflows
+        ("mixed-bound", "--model", "table:values=1e300", "--dims", "9", "--eps", "1e-300"),
+        # an axis of the product grid underflows to 0.0 (the first radius
+        # answers), then mu_d at the cut
+        ("sweep", "--model", "canonical:b=7.03989e+17,c=1.02693e-12", "--what",
+         "bound-infinite", "--p", "3", "--q", "1", "--eps-grid", "0.00676:1.375e-70:5",
+         "--format", "json"),
+    ])
+    def test_axis_or_eta_below_the_float_range_is_4(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 4
+        assert json.loads(out)["kind"] == "cap-exceeded"
+
+    def test_besov_scale_past_the_float_range_is_2(self, capsys):
+        code, _, err = run(
+            capsys, "besov", "--s", "67.5965", "--d", "1", "--p1", "1.5",
+            "--vol", "7.05641e+07", "--eps", "7.1183e-22",
+        )
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["kind"] == "invalid-input" and "vol^e" in payload["error"]
 
     def test_mixed_lattice_past_the_float_range_is_4(self, capsys):
         code, out, _ = run(
@@ -401,12 +428,128 @@ class TestSweep:
         assert code == 2
 
 
-def test_import_leaves_numpy_unloaded():
-    # only the oracle needs numpy; the package imports it on first use
+def _run_python(code, *args):
+    """stdout of ``python -c code args`` in a fresh process on this package."""
     src = str(Path(ellentropy.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import ellentropy, ellentropy.cli, sys; assert 'numpy' not in sys.modules"
-    subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60
-    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+        timeout=60,
+        capture_output=True,
+        text=True,
+    ).stdout
+
+
+def test_import_leaves_numpy_unloaded():
+    # only the oracle needs numpy; the package imports it on first use
+    _run_python("import ellentropy, ellentropy.cli, sys; assert 'numpy' not in sys.modules")
     assert ellentropy.oracle.greedy_cover is ellentropy.greedy_cover
+
+
+def test_import_loads_no_submodule():
+    code = "import ellentropy, sys; print([m for m in sys.modules if m.startswith('ellentropy.')])"
+    assert _run_python(code).strip() == "[]"
+
+
+# one cheap query for each of the 11 subcommands
+SUBCOMMANDS = {
+    "exact": ["--model", "canonical:b=1,c=1", "--eps", "0.1"],
+    "bound-finite": ["--axes", "1,0.5,0.25", "--p", "2", "--q", "2", "--eps", "0.2"],
+    "bound-infinite": ["--model", "canonical:b=1,c=1", "--p", "2", "--q", "2", "--eps", "0.1"],
+    "mixed-bound": ["--model", "table:values=1;0.5", "--dims", "9,9", "--eps", "0.5"],
+    "classify": ["--p", "2", "--q", "1", "--b", "1"],
+    "asymptotic": ["--p", "2", "--q", "2", "--b", "1", "--eps", "0.01"],
+    "estimator": ["--model", "canonical:b=1,c=1", "--eps", "0.01"],
+    "oracle": ["--axes", "1,0.5", "--p", "2", "--q", "2", "--eps", "0.3", "--resolution", "8"],
+    "besov": ["--s", "2", "--d", "1", "--p1", "2", "--vol", "1", "--eps", "0.01"],
+    "constants": [],
+    "sweep": ["--model", "canonical:b=1,c=1", "--eps-grid", "0.1:0.01:3"],
+}
+
+
+def _loaded_by(subcommand):
+    """The modules a process loads to run one subcommand: ellentropy's
+    submodules, and whichever of dataclasses and numpy it loads."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from ellentropy.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('ellentropy.')\n"
+        "                    or m in ('dataclasses', 'numpy')))"
+    )
+    code, *modules = _run_python(code, subcommand, *SUBCOMMANDS[subcommand]).split()
+    assert code == "0"
+    return set(modules)
+
+
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMANDS))
+def test_subcommand_loads_only_what_it_runs(subcommand):
+    loaded = _loaded_by(subcommand)
+    if subcommand == "oracle":
+        assert "numpy" in loaded
+    else:
+        assert not loaded & {"dataclasses", "numpy", "ellentropy.oracle"}
+    if subcommand == "classify":
+        assert not loaded & {"ellentropy.block_decomp", "ellentropy.hyperrect"}
+
+
+# every name the package served when it imported its modules eagerly
+EXPORTS = {
+    "asymptotics": (
+        "Regime canonical_band classify effective_dimension entropy_estimator "
+        "hilbert_leading hilbert_second_order invert_series sum_expansion_check"
+    ),
+    "besov": "BesovSpec besov_entropy_band semi_axes_from_besov",
+    "block_decomp": (
+        "BlockPlan MixedEllipsoidSpec combined_radius infinite_upper_bound "
+        "mixed_lower_bound mixed_upper_bound tail_radius"
+    ),
+    "constants": (
+        "HolderExponent as_exponent gamma_pq unit_ball_log_volume volume_ratio "
+        "zeta zeta_series_constant"
+    ),
+    "errors": "EntropyError",
+    "finite_bounds": (
+        "FiniteBound FiniteEllipsoid admissible_radius density_upper_bound volume_lower_bound"
+    ),
+    "hyperrect": (
+        "HyperrectEntropy canonical_asymptotic exact_entropy exact_entropy_counting "
+        "optimal_covering"
+    ),
+    "numerics": "",
+    "oracle": "OracleReport greedy_cover greedy_pack sandwich_report",
+    "results": "BoundCertificate EntropyResult",
+    "sequences": (
+        "Canonical SemiAxisModel Tabulated TwoTermPolynomial axis cesaro_log_ratio "
+        "counting log_product tail_power_sum"
+    ),
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_package_names_are_their_modules_objects(module):
+    mod = importlib.import_module(f"ellentropy.{module}")
+    assert getattr(ellentropy, module) is mod
+    listed = dir(ellentropy)
+    assert module in listed
+    for name in EXPORTS[module].split():
+        assert getattr(ellentropy, name) is getattr(mod, name), name
+        assert name in listed
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        ellentropy.nonexistent  # noqa: B018
+
+
+def test_star_import_leaves_numpy_unloaded():
+    code = (
+        "import sys\n"
+        "from ellentropy import *\n"
+        "assert 'numpy' not in sys.modules\n"
+        "print(exact_entropy.__module__, Canonical.__module__)"
+    )
+    assert _run_python(code).split() == ["ellentropy.hyperrect", "ellentropy.sequences"]

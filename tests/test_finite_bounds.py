@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellentropy.constants import HolderExponent
-from ellentropy.errors import EntropyError, RadiusOutOfRange
+from ellentropy.errors import EntropyError, RadiusOutOfRange, ScanCapExceeded
 from ellentropy.finite_bounds import (
     FD1,
     FD2,
@@ -157,6 +157,15 @@ class TestDensityUpper:
 class TestProductGridFallback:
     def test_exact_for_sup_norm(self):
         assert product_grid_upper_bound((1.0, 0.5), INF, 0.3) == pytest.approx(3.0)
+
+    def test_underflowed_axis_after_one_cell_takes_one_cell(self):
+        # axes do not increase, so the axis that underflowed is at most 0.01
+        assert product_grid_upper_bound((0.01, 0.0), 2, 0.1) == 0.0
+
+    @pytest.mark.parametrize("axes", [(1.0, 0.0), (0.0,)])
+    def test_underflowed_axis_past_one_cell_is_a_cap(self, axes):
+        with pytest.raises(ScanCapExceeded, match=f"axis {len(axes)} underflowed to 0.0"):
+            product_grid_upper_bound(axes, 2, 0.1)
 
     def test_exact_ceiling_at_decimal_integer_ratios(self):
         # 1/5, 1/10 and 1/20 over 0.01 round to integers in floats, but the
