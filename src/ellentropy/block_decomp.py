@@ -25,6 +25,7 @@ explicit density bound, with weights drawn from the lattice
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Dict, Tuple
 
 from .constants import ExponentLike, HolderExponent, as_exponent
@@ -329,7 +330,17 @@ def infinite_upper_bound(
         rho = eps
     else:
         # one-sided margin so the recombined radius never rounds above eps
-        rho = (eps**q.value - alpha**q.value) ** q.reciprocal() * (1.0 - 1e-12)
+        eps_q = eps**q.value
+        if eps_q >= sys.float_info.min:
+            rho = (eps_q - alpha**q.value) ** q.reciprocal() * (1.0 - 1e-12)
+        else:
+            # eps**q is subnormal or 0.0: the same radius, scaled by eps
+            # (alpha <= target, so the base is at least 1/2)
+            rho = eps * (1.0 - (alpha / eps) ** q.value) ** q.reciprocal() * (1.0 - 1e-12)
+            if rho < sys.float_info.min:
+                # on the subnormal grid the last rounding can pass the 1e-12
+                # margin by up to half a step; one step down covers it
+                rho = math.nextafter(rho, 0.0)
 
     notes = []
     if d >= 3:

@@ -5,8 +5,17 @@ Every subcommand prints a single JSON object of the shape
     {"query": ..., "value_bits": ..., "kind": ..., "epsilon": ...,
      "certificate": {...}?, "warnings": [...]}
 
-(``sweep`` instead emits CSV rows ``epsilon,value_bits,kind``).  Exit
-codes: 0 success, 2 invalid input, 3 non-compact regime (the entropy is
+(``sweep`` instead emits CSV rows ``epsilon,value_bits,kind``, unless
+``--format json``).  Each ``_cmd_*`` handler returns only the fields of
+its own answer.  ``main`` adds the keys every answer shares:
+``query.subcommand``; ``epsilon``, which is ``--eps`` where the subcommand
+takes it and the handler names no other radius; and ``warnings``, ``[]``
+unless the handler gives some.  It then writes the answer, or the error
+object that replaces it, to stdout or to ``--out``.  ``--nats`` multiplies
+every ``value_bits`` by ln 2 and changes nothing else.
+
+Exit codes: 0 success, 2 invalid input (printed to stderr, as is an
+``--out`` that cannot be written), 3 non-compact regime (the entropy is
 infinite), 4 an enumeration or scan cap was hit.
 
 Models are given either as inline JSON, as ``@file.json``, or in the
@@ -22,7 +31,7 @@ import decimal
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import List, Union
 
 from .constants import LN2, HolderExponent, as_exponent
 from .errors import (
@@ -71,18 +80,25 @@ def _exponent_json(p: HolderExponent):
     return "inf" if p.is_inf else p.value
 
 
-def _emit(payload: dict, args) -> None:
-    # one line: an indented per_axis_counts takes a line per axis
-    text = json.dumps(payload, sort_keys=True)
-    if getattr(args, "out", None):
+def _emit(payload: Union[dict, str], args) -> None:
+    """Write a payload to ``--out``, or else to stdout: text as it is, a
+    dict as one line of JSON (an indented per_axis_counts would take a line
+    per axis)."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True)
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
+def _invalid(exc: Exception) -> int:
+    print(json.dumps({"error": str(exc), "kind": "invalid-input"}), file=sys.stderr)
+    return EXIT_INVALID
+
+
 def _bits_out(bits: float, args) -> float:
-    return bits * LN2 if getattr(args, "nats", False) else bits
+    return bits * LN2 if args.nats else bits
 
 
 class _InvalidOption(Exception):
@@ -153,17 +169,15 @@ def _cmd_exact(args) -> dict:
     model = parse_model(args.model)
     result = hyperrect.exact_entropy(model, args.eps)
     payload = {
-        "query": {"subcommand": "exact", "model": model.to_json(), "eps": args.eps},
+        "query": {"model": model.to_json(), "eps": args.eps},
         "value_bits": _bits_out(result.bits, args),
         "kind": "exact",
-        "epsilon": args.eps,
         "certificate": {
             "effective_dim": result.effective_dim,
             "per_axis_counts": list(result.per_axis_counts),
             "count_runs": [[count, mult] for count, mult in result.count_runs],
             "center_count": _json_int(result.exact_product()),
         },
-        "warnings": [],
     }
     if args.centers:
         # centers span the effective axes; all further coordinates are 0
@@ -183,31 +197,29 @@ def _cmd_bound_finite(args) -> dict:
     lower = finite_bounds.volume_lower_bound(E, as_exponent(args.q), args.eps)
     payload = {
         "query": {
-            "subcommand": "bound-finite",
             "axes": list(E.axes),
             "p": _exponent_json(E.p),
             "q": args.q,
             "eps": args.eps,
             "eta": args.eta,
         },
-        "epsilon": args.eps,
         "lower": {"value_bits": _bits_out(lower.log2_bound, args), "case_tag": lower.case_tag},
-        "warnings": [],
     }
     try:
         upper = finite_bounds.density_upper_bound(E, as_exponent(args.q), args.eps, args.eta)
-        payload["upper"] = {
-            "value_bits": _bits_out(upper.log2_bound, args),
-            "case_tag": upper.case_tag,
-            "kappa_used": upper.kappa_used,
-            "admissible_radius": list(upper.valid_radius_range),
-        }
-        payload["value_bits"] = payload["upper"]["value_bits"]
-        payload["kind"] = "upper"
     except EntropyError as exc:
         payload["value_bits"] = payload["lower"]["value_bits"]
         payload["kind"] = "lower"
-        payload["warnings"].append(f"density bound unavailable: {exc}")
+        payload["warnings"] = [f"density bound unavailable: {exc}"]
+        return payload
+    payload["upper"] = {
+        "value_bits": _bits_out(upper.log2_bound, args),
+        "case_tag": upper.case_tag,
+        "kappa_used": upper.kappa_used,
+        "admissible_radius": list(upper.valid_radius_range),
+    }
+    payload["value_bits"] = payload["upper"]["value_bits"]
+    payload["kind"] = "upper"
     return payload
 
 
@@ -219,18 +231,10 @@ def _cmd_bound_infinite(args) -> dict:
         model, as_exponent(args.p), as_exponent(args.q), args.eps
     )
     return {
-        "query": {
-            "subcommand": "bound-infinite",
-            "model": model.to_json(),
-            "p": args.p,
-            "q": args.q,
-            "eps": args.eps,
-        },
+        "query": {"model": model.to_json(), "p": args.p, "q": args.q, "eps": args.eps},
         "value_bits": _bits_out(result.bits, args),
         "kind": "upper",
-        "epsilon": result.epsilon,
         "certificate": cert.to_json(),
-        "warnings": [],
     }
 
 
@@ -244,7 +248,6 @@ def _cmd_mixed_bound(args) -> dict:
     lower = block_decomp.mixed_lower_bound(spec, args.eps)
     return {
         "query": {
-            "subcommand": "mixed-bound",
             "model": model.to_json(),
             "dims": list(dims),
             "eps": args.eps,
@@ -252,21 +255,9 @@ def _cmd_mixed_bound(args) -> dict:
         },
         "value_bits": _bits_out(upper.bits, args),
         "kind": "upper",
-        "epsilon": upper.epsilon,
+        "epsilon": upper.epsilon,  # the inflated radius the upper bound covers at
         "lower": {"value_bits": _bits_out(lower.bits, args), "epsilon": lower.epsilon},
         "certificate": cert.to_json(),
-        "warnings": [],
-    }
-
-
-def _regime_payload(regime) -> dict:
-    return {
-        "case": regime.case,
-        "b_star": regime.b_star,
-        "lower_const": regime.lower_const,
-        "upper_const": regime.upper_const,
-        "exact_const": regime.exact_const,
-        "compact": regime.compact,
     }
 
 
@@ -278,20 +269,11 @@ def _cmd_classify(args) -> dict:
         tail_summable_inv_b=args.tail_summable,
         liminf_n_mu_pos=not args.tail_summable,
     )
-    payload = {
-        "query": {"subcommand": "classify", "p": args.p, "q": args.q, "b": args.b},
+    return {
+        "query": {"p": args.p, "q": args.q, "b": args.b},
         "kind": "classification",
-        "regime": _regime_payload(regime),
-        "warnings": [],
+        "regime": {**regime._asdict(), "compact": regime.compact},
     }
-    if not regime.compact:
-        raise _NonCompactWithPayload(payload)
-    return payload
-
-
-class _NonCompactWithPayload(Exception):
-    def __init__(self, payload):
-        self.payload = payload
 
 
 def _cmd_asymptotic(args) -> dict:
@@ -300,23 +282,14 @@ def _cmd_asymptotic(args) -> dict:
     band = asymptotics.canonical_band(
         as_exponent(args.p), as_exponent(args.q), args.b, args.c, args.eps
     )
-    warnings = []
-    if band.upper_constant_unconfirmed:
-        warnings.append("upper edge has an unconfirmed constant (p < q regime)")
-    return {
-        "query": {
-            "subcommand": "asymptotic",
-            "p": args.p,
-            "q": args.q,
-            "b": args.b,
-            "c": args.c,
-            "eps": args.eps,
-        },
+    payload = {
+        "query": {"p": args.p, "q": args.q, "b": args.b, "c": args.c, "eps": args.eps},
         "value_bits": [_bits_out(band.lower_bits, args), _bits_out(band.upper_bits, args)],
         "kind": "asymptotic",
-        "epsilon": args.eps,
-        "warnings": warnings,
     }
+    if band.upper_constant_unconfirmed:
+        payload["warnings"] = ["upper edge has an unconfirmed constant (p < q regime)"]
+    return payload
 
 
 def _cmd_estimator(args) -> dict:
@@ -325,11 +298,9 @@ def _cmd_estimator(args) -> dict:
     model = parse_model(args.model)
     bits = asymptotics.entropy_estimator(model, args.eps)
     return {
-        "query": {"subcommand": "estimator", "model": model.to_json(), "eps": args.eps},
+        "query": {"model": model.to_json(), "eps": args.eps},
         "value_bits": _bits_out(bits, args),
         "kind": "asymptotic",
-        "epsilon": args.eps,
-        "warnings": [],
     }
 
 
@@ -342,7 +313,6 @@ def _cmd_oracle(args) -> dict:
     )
     return {
         "query": {
-            "subcommand": "oracle",
             "axes": list(E.axes),
             "p": args.p,
             "q": args.q,
@@ -350,17 +320,10 @@ def _cmd_oracle(args) -> dict:
             "resolution": args.resolution,
         },
         "kind": "oracle",
-        "epsilon": args.eps,
-        "report": {
-            "cover_count": rep.report.cover_count,
-            "pack_count": rep.report.pack_count,
-            "grid_resolution": rep.report.grid_resolution,
-            "delta": rep.report.delta,
-        },
+        "report": rep.report._asdict(),
         "checks": rep.checks,
         "values": rep.values,
         "all_ok": rep.all_ok,
-        "warnings": [],
     }
 
 
@@ -370,17 +333,9 @@ def _cmd_besov(args) -> dict:
     spec = besov.BesovSpec(args.s, args.d, as_exponent(args.p1), args.vol)
     bb = besov.besov_entropy_band(spec, args.eps)
     return {
-        "query": {
-            "subcommand": "besov",
-            "s": args.s,
-            "d": args.d,
-            "p1": args.p1,
-            "vol": args.vol,
-            "eps": args.eps,
-        },
+        "query": {"s": args.s, "d": args.d, "p1": args.p1, "vol": args.vol, "eps": args.eps},
         "value_bits": [_bits_out(bb.band.lower_bits, args), _bits_out(bb.band.upper_bits, args)],
         "kind": "asymptotic",
-        "epsilon": args.eps,
         "model": bb.model.to_json(),
         "b_star": bb.b_star,
         "warnings": list(bb.warnings),
@@ -390,7 +345,7 @@ def _cmd_besov(args) -> dict:
 def _cmd_constants(args) -> dict:
     from . import constants
 
-    payload = {"query": {"subcommand": "constants"}, "kind": "constants", "warnings": []}
+    payload = {"query": {}, "kind": "constants"}
     if args.gamma_pq:
         payload["value"] = constants.gamma_pq(as_exponent(args.p), as_exponent(args.q))
         payload["query"].update({"gamma_pq": True, "p": args.p, "q": args.q})
@@ -432,7 +387,7 @@ def _sweep_value(what: str, model, p, q, eps) -> tuple:
     raise EntropyError(f"unknown sweep target {what!r}")
 
 
-def _cmd_sweep(args) -> Optional[dict]:
+def _cmd_sweep(args) -> Union[dict, str]:
     model = parse_model(args.model)
     p, q = as_exponent(args.p), as_exponent(args.q)
     grid = _parse_eps_grid(args.eps_grid)
@@ -442,19 +397,12 @@ def _cmd_sweep(args) -> Optional[dict]:
         rows.append((eps, _bits_out(bits, args), kind))
     if args.format == "json":
         return {
-            "query": {"subcommand": "sweep", "model": model.to_json(), "what": args.what},
+            "query": {"model": model.to_json(), "what": args.what},
             "kind": "sweep",
             "rows": [{"epsilon": e, "value_bits": v, "kind": k} for e, v, k in rows],
-            "warnings": [],
         }
     lines = ["epsilon,value_bits,kind"] + [f"{e:.12g},{v:.12g},{k}" for e, v, k in rows]
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return None
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -557,8 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--what", choices=["exact", "bound-infinite", "estimator"], default="exact")
     sp.add_argument("--eps-grid", required=True, help="start:stop:count, log-spaced")
     sp.add_argument("--format", choices=["json", "csv"], default="csv")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--nats", action="store_true")
+    common(sp, eps=False)
     sp.set_defaults(func=_cmd_sweep)
 
     return ap
@@ -569,33 +516,35 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
     except _InvalidOption as exc:
-        print(json.dumps({"error": str(exc), "kind": "invalid-input"}), file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid(exc)
+    code = EXIT_OK
     try:
-        payload = args.func(args)
-    except _NonCompactWithPayload as exc:
-        _emit(exc.payload, args)
-        return EXIT_NONCOMPACT
+        answer = args.func(args)
     except NonCompactRegime as exc:
-        _emit({"error": str(exc), "kind": "non-compact"}, args)
-        return EXIT_NONCOMPACT
+        code, answer = EXIT_NONCOMPACT, {"error": str(exc), "kind": "non-compact"}
     except EnumerationTooLarge as exc:
-        payload = {"error": str(exc), "kind": "cap-exceeded"}
+        code, answer = EXIT_CAP, {"error": str(exc), "kind": "cap-exceeded"}
         if exc.count.bit_length() <= 64:
-            payload["count"] = exc.count
+            answer["count"] = exc.count
         else:  # too many digits for a JSON literal; report the exact log2
-            payload["count_log2"] = math.log2(exc.count)
-        _emit(payload, args)
-        return EXIT_CAP
+            answer["count_log2"] = math.log2(exc.count)
     except ScanCapExceeded as exc:
-        _emit({"error": str(exc), "kind": "cap-exceeded"}, args)
-        return EXIT_CAP
+        code, answer = EXIT_CAP, {"error": str(exc), "kind": "cap-exceeded"}
     except (EntropyError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(json.dumps({"error": str(exc), "kind": "invalid-input"}), file=sys.stderr)
-        return EXIT_INVALID
-    if payload is not None:
-        _emit(payload, args)
-    return EXIT_OK
+        return _invalid(exc)
+    else:
+        if isinstance(answer, dict):  # the keys every answer shares
+            answer["query"]["subcommand"] = args.subcommand
+            if hasattr(args, "eps"):
+                answer.setdefault("epsilon", args.eps)
+            answer.setdefault("warnings", [])
+            if not answer.get("regime", {}).get("compact", True):
+                code = EXIT_NONCOMPACT
+    try:
+        _emit(answer, args)
+    except OSError as exc:  # an --out that cannot be written
+        return _invalid(exc)
+    return code
 
 
 if __name__ == "__main__":

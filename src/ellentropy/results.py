@@ -5,10 +5,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 # Tags for EntropyResult.kind.
-EXACT = "exact"
 CERTIFIED_LOWER = "certified-lower"
 CERTIFIED_UPPER = "certified-upper"
-ASYMPTOTIC = "asymptotic"
 
 
 class EntropyResult(NamedTuple):

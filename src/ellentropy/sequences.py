@@ -444,7 +444,8 @@ class TwoTermPolynomial(_Frozen):
         ``_split_log_product``).  The per-axis sum stays the fallback where
         that series does not converge (x >= 1 at the cut) or needs more
         than ``_HEAD_TERMS`` terms (x within a few hundredths of 1); past
-        ``AXIS_CAP`` axes it raises ScanCapExceeded instead.
+        ``AXIS_CAP`` axes it raises ScanCapExceeded instead, as it does where
+        mu_d underflows to 0.0 (mu_1 = c1 + c2 is a positive float).
         """
         split = self._split_log_product(d) if d > _HEAD_TERMS else None
         if split is not None:
@@ -455,6 +456,10 @@ class TwoTermPolynomial(_Frozen):
             )
         largest = self.c1 + max(self.c2, 0.0)
         smallest = min(self.axis(1), self.axis(d))
+        if smallest == 0.0:
+            raise ScanCapExceeded(
+                f"axis {d} underflowed to 0.0, so its log2 lies past the float range"
+            )
         return _log2_sum(map(self.axis, range(1, d + 1)), d, largest, smallest)
 
     def _split_log_product(self, d: int) -> Optional[Interval]:

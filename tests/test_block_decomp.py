@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -112,6 +113,29 @@ class TestInfiniteUpperBound:
     def test_axis_below_the_float_range_is_a_cap(self, model, p, q, eps, match):
         with pytest.raises(ScanCapExceeded, match=match):
             infinite_upper_bound(model, p, q, eps)
+
+    @pytest.mark.parametrize(
+        "model, p, q, eps, bits",
+        [
+            (
+                Tabulated((126557851342830.53, 49252082008376.6, 71973.5167531462,
+                           2.023857410434625e-07)),
+                3, 3, 2.000850940303659e-276, 3753.6,
+            ),
+            (Canonical(30, 1), 2, 3, 1e-200, 2.0389e8),
+            # eps itself subnormal: the grid step there is far above the 1e-12 margin
+            (Tabulated((1.0, 0.5, 0.25, 3e-316)), 2, 3, 1e-315, 3139.16),
+        ],
+        ids=["table", "canonical", "subnormal-eps"],
+    )
+    def test_eps_power_below_the_normal_floats_answers(self, model, p, q, eps, bits):
+        # eps**q is subnormal or 0.0, so rho is formed scaled by eps; the
+        # split still holds exactly: rho**q + alpha**q <= eps**q
+        result, cert = infinite_upper_bound(model, p, q, eps)
+        assert result.bits == pytest.approx(bits, rel=1e-4)
+        (rho,), alpha = cert.inner_radii, cert.tail_radius
+        assert rho > 0
+        assert Fraction(rho) ** q + Fraction(alpha) ** q <= Fraction(eps) ** q
 
     @pytest.mark.parametrize(
         "model, p, q, eps",

@@ -205,11 +205,28 @@ class TestExitCodes:
         ("sweep", "--model", "canonical:b=7.03989e+17,c=1.02693e-12", "--what",
          "bound-infinite", "--p", "3", "--q", "1", "--eps-grid", "0.00676:1.375e-70:5",
          "--format", "json"),
+        # a two-term axis underflows to 0.0 inside the log-product
+        ("bound-infinite", "--model", "two_term:c1=1e11,c2=1,alpha1=1.8e17,alpha2=2e17",
+         "--p", "3", "--q", "1.5", "--eps", "1e-63"),
     ])
     def test_axis_or_eta_below_the_float_range_is_4(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 4
         assert json.loads(out)["kind"] == "cap-exceeded"
+
+    @pytest.mark.parametrize("argv", [
+        ("exact", "--model", "canonical:b=1,c=1", "--eps", "0.1"),
+        ("sweep", "--model", "canonical:b=1,c=1", "--eps-grid", "0.1:0.01:3"),
+        ("classify", "--p", "2", "--q", "1", "--b", "0.3"),  # an exit-3 answer
+        ("oracle", "--axes", "1,0.5,0.25", "--p", "inf", "--q", "inf", "--eps", "0.2",
+         "--resolution", "800"),  # an exit-4 error object
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_out_is_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "answer.out"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["kind"] == "invalid-input" and str(target) in payload["error"]
 
     def test_besov_scale_past_the_float_range_is_2(self, capsys):
         code, _, err = run(
@@ -340,6 +357,17 @@ class TestSubcommands:
         assert payload["certificate"]["effective_dimension"] == 9
         assert payload["value_bits"] > 0
 
+    def test_bound_infinite_where_eps_power_underflows(self, capsys):
+        # eps**3 is below the smallest float, yet the split radius is not
+        code, out, _ = run(
+            capsys, "bound-infinite", "--model",
+            "table:values=126557851342830.53;49252082008376.6;71973.5167531462;"
+            "2.023857410434625e-07",
+            "--p", "3", "--q", "3", "--eps", "2.000850940303659e-276",
+        )
+        assert code == 0
+        assert json.loads(out)["value_bits"] == pytest.approx(3753.6, rel=1e-4)
+
     def test_mixed_bound(self, capsys):
         code, out, _ = run(
             capsys, "mixed-bound", "--model", "table:values=1;0.5", "--dims", "9,9",
@@ -426,6 +454,70 @@ class TestSweep:
             capsys, "sweep", "--model", "canonical:b=1,c=1", "--eps-grid", "oops"
         )
         assert code == 2
+
+
+# exit code, stdout and stderr of each argv through cli.main: the CLI's
+# output contract, byte for byte; re-record only for a deliberate change
+PINNED = json.loads((Path(__file__).parent / "cli_bytes.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda case: " ".join(case["argv"]))
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_pinned_bytes(capsys, tmp_path, case, to_file):
+    target = tmp_path / "answer.out"
+    argv = case["argv"] + (["--out", str(target)] if to_file else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (case["exit"], case["stderr"])
+    if to_file:
+        # --out takes what stdout would print; an error on stderr writes no file
+        assert out == ""
+        written = target.read_text(encoding="utf-8") if target.exists() else ""
+        assert written == case["stdout"]
+    else:
+        assert out == case["stdout"]
+
+
+def _scaled_by_ln2(bits, nats) -> int:
+    """Assert that ``nats`` is ``bits`` with every value under a ``value_bits``
+    key times ln 2 and nothing else changed; the number of such values."""
+    if isinstance(bits, dict):
+        assert sorted(bits) == sorted(nats)
+        scaled = 0
+        for key, value in bits.items():
+            if key == "value_bits":
+                values = value if isinstance(value, list) else [value]
+                expect = [v * math.log(2.0) for v in values]
+                assert nats[key] == (expect if isinstance(value, list) else expect[0])
+                scaled += len(values)
+            else:
+                scaled += _scaled_by_ln2(value, nats[key])
+        return scaled
+    if isinstance(bits, list):
+        assert len(bits) == len(nats)
+        return sum(_scaled_by_ln2(b, n) for b, n in zip(bits, nats))
+    assert bits == nats
+    return 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "--model", "canonical:b=1,c=1", "--eps", "0.1"),
+    ("bound-finite", "--axes", "1,0.5,0.25", "--p", "2", "--q", "2", "--eps", "0.2"),
+    ("bound-finite", "--axes", "1,0.5", "--p", "2", "--q", "2", "--eps", "0.2"),  # lower only
+    ("bound-infinite", "--model", "canonical:b=1,c=1", "--p", "2", "--q", "2", "--eps", "0.1"),
+    ("mixed-bound", "--model", "table:values=1;0.5", "--dims", "9,9", "--eps", "0.5"),
+    ("asymptotic", "--p", "1", "--q", "2", "--b", "1", "--eps", "0.01"),
+    ("estimator", "--model", "canonical:b=1,c=1", "--eps", "0.01"),
+    ("besov", "--s", "2", "--d", "1", "--p1", "2", "--vol", "1", "--eps", "0.01"),
+    ("sweep", "--model", "canonical:b=1,c=1", "--eps-grid", "0.1:0.01:3", "--format", "json"),
+    # oracle values stay in bits, as their log2_ names say
+    ("oracle", "--axes", "1,0.5", "--p", "2", "--q", "2", "--eps", "0.3", "--resolution", "8"),
+], ids=lambda argv: argv[0])
+def test_nats_scales_every_value_bits_and_nothing_else(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    code_nats, out_nats, _ = run(capsys, *argv, "--nats")
+    assert code == code_nats == 0
+    scaled = _scaled_by_ln2(json.loads(out), json.loads(out_nats))
+    assert (scaled > 0) == (argv[0] != "oracle")
 
 
 def _run_python(code, *args):

@@ -5,10 +5,12 @@ import tracemalloc
 import pytest
 
 import grid_reference as reference
+from ellentropy.block_decomp import MixedEllipsoidSpec, mixed_upper_bound
 from ellentropy.constants import HolderExponent, as_exponent
 from ellentropy.errors import EnumerationTooLarge, EntropyError
 from ellentropy.finite_bounds import FiniteEllipsoid
 from ellentropy.oracle import greedy_cover, greedy_pack, sandwich_report
+from ellentropy.sequences import Tabulated
 
 INF = math.inf
 
@@ -137,6 +139,16 @@ class TestSandwich:
     def test_degenerate_flat_ellipsoid(self):
         rep = sandwich_report(ell(2, [1.0, 1e-6]), 2, 0.4, resolution=64)
         assert rep.all_ok
+
+    @pytest.mark.parametrize("mu, eps, gamma", [(0.9, 0.5, 1), (1.0, 0.4, 1), (0.8, 0.35, 2)])
+    def test_mixed_route_at_d3_holds(self, mu, eps, gamma):
+        # a leading block of size 3 is a Euclidean ball of radius mu, and a
+        # packing of it at the inflated radius lower-bounds the mixed entropy
+        spec = MixedEllipsoidSpec(Tabulated((mu, 0.2)), (3, 5))
+        upper, cert = mixed_upper_bound(spec, eps, gamma)
+        assert cert.block_sizes == (3,)
+        pack = greedy_pack(ell(2, [mu] * 3), 2, upper.epsilon, 32).pack_count
+        assert math.log2(pack) <= upper.bits
 
     def test_report_fields(self):
         rep = sandwich_report(ell(2, [1.0, 0.5]), 2, 0.4, resolution=32)

@@ -313,6 +313,14 @@ class TestLogProduct:
             with pytest.raises(ScanCapExceeded, match="float range"):
                 call(model, d)
 
+    def test_two_term_axis_underflowed_to_zero_raises_scan_cap(self):
+        # alpha1 ~ 2e17: mu_n underflows to 0.0 from n = 2, and log2(0.0)
+        # would be a bare math domain error
+        m = TwoTermPolynomial(1e11, 1.0, 1.8e17, 2e17)
+        assert m.axis(5) == 0.0
+        with pytest.raises(ScanCapExceeded, match="axis 5 underflowed to 0.0"):
+            m.log_product(5)
+
 
 class TestTailPowerSum:
     def test_basel(self):
