@@ -20,7 +20,7 @@ _SOURCES = {
     name: module
     for module, names in {
         "asymptotics": "Regime canonical_band classify effective_dimension entropy_estimator"
-        " hilbert_leading hilbert_second_order invert_series sum_expansion_check",
+        " hilbert_second_order",
         "besov": "BesovSpec besov_entropy_band semi_axes_from_besov",
         "block_decomp": "BlockPlan MixedEllipsoidSpec combined_radius infinite_upper_bound"
         " mixed_lower_bound mixed_upper_bound tail_radius",
@@ -29,8 +29,7 @@ _SOURCES = {
         "errors": "EntropyError",
         "finite_bounds": "FiniteBound FiniteEllipsoid admissible_radius density_upper_bound"
         " volume_lower_bound",
-        "hyperrect": "HyperrectEntropy canonical_asymptotic exact_entropy"
-        " exact_entropy_counting optimal_covering",
+        "hyperrect": "HyperrectEntropy exact_entropy exact_entropy_counting optimal_covering",
         "numerics": "",
         "oracle": "OracleReport greedy_cover greedy_pack sandwich_report",
         "results": "BoundCertificate EntropyResult",

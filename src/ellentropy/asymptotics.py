@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import NamedTuple, Optional, Union
 
 from .constants import LN2, ExponentLike, as_exponent, gamma_pq
 from .errors import EntropyError, NonCompactRegime, ScanCapExceeded, UnsupportedCorner
-from .numerics import Threshold, _check_radius, kahan_sum
+from .numerics import Threshold, _check_radius
 from .sequences import SemiAxisModel, passing
 
 NONCOMPACT_A = "NonCompact_a"
@@ -56,21 +56,72 @@ class Regime(NamedTuple):
 RationalLike = Union[int, float, Fraction, str]
 
 
-def _as_fraction(x: RationalLike) -> Optional[Fraction]:
-    """Exact rational value, or None for infinity."""
-    if isinstance(x, str):
-        if x.strip().lower() in ("inf", "infinity"):
-            return None
-        return Fraction(x)
-    if isinstance(x, float) and math.isinf(x):
+def _as_fraction(name: str, x: RationalLike) -> Optional[Fraction]:
+    """Exact rational value, or None for +infinity; EntropyError naming
+    ``name`` for a value that is neither (nan, -inf, text that is no
+    number)."""
+    if isinstance(x, str) and x.strip().lower() in ("inf", "infinity"):
         return None
-    return Fraction(x)
+    if x == math.inf:
+        return None
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise EntropyError(f"{name} must be a real number or inf, got {x!r}") from None
 
 
 def gamma_pqb(p: ExponentLike, q: ExponentLike, b: float) -> float:
     """(b / (b + 1/p - 1/q))^(1/q - 1/p)."""
     rp, rq = as_exponent(p).reciprocal(), as_exponent(q).reciprocal()
     return (b / (b + rp - rq)) ** (rq - rp)
+
+
+def _case(p, q, b, tail_summable_inv_b: bool, liminf_n_mu_pos: bool) -> tuple:
+    """(case, b*, p, q, b) of ``classify``, with p, q and b as floats: the
+    case from the exact test alone, before any constant is formed."""
+    fp, fq, fb = _as_fraction("p", p), _as_fraction("q", q), _as_fraction("b", b)
+    if fb is None or fb <= 0:
+        raise EntropyError("b must be a positive real")
+    for x, f in ((p, fp), (q, fq)):
+        if f is not None and f < 1:
+            raise EntropyError(f"Hoelder exponent must lie in [1, inf], got {x}")
+    if fq is None:
+        below = critical = False  # q = inf exceeds the finite critical value
+    elif fp is None:
+        # convention: p/(pb+1) -> 1/b at p = infinity
+        below, critical = fq < 1 / fb, fq == 1 / fb
+    else:
+        # q ? p/(pb+1)  <=>  q (p b + 1) ? p
+        lhs = fq * (fp * fb + 1)
+        below, critical = lhs < fp, lhs == fp
+
+    try:
+        pv, qv, bv = (math.inf if f is None else float(f) for f in (fp, fq, fb))
+    except OverflowError:
+        raise EntropyError("p, q and b must lie in the float range") from None
+    if bv == 0.0:
+        raise EntropyError("p, q and b must lie in the float range")
+    b_star = bv + 1.0 / pv - 1.0 / qv
+
+    if below:
+        case = NONCOMPACT_A
+    elif critical:
+        if tail_summable_inv_b and liminf_n_mu_pos:
+            raise EntropyError(
+                "flags inconsistent: a positive liminf forces a divergent sum"
+            )
+        if liminf_n_mu_pos:
+            case = NONCOMPACT_B
+        elif tail_summable_inv_b:
+            case = CRITICAL_II
+        else:
+            raise UnsupportedCorner(
+                "critical line with vanishing n mu_n^(1/b) and divergent sum"
+            )
+    else:
+        q_le_p = (fp is None) if fq is None else (fp is None or fq <= fp)
+        case = COMPACT_III if q_le_p else COMPACT_IV
+    return case, b_star, pv, qv, bv
 
 
 def classify(
@@ -89,75 +140,47 @@ def classify(
 
     Inputs given as ints, Fractions, or fraction strings are compared in
     exact arithmetic, so regime boundaries are decided without rounding.
+    A constant past the float range (from b near 134 at p = 2, q = 1)
+    raises ScanCapExceeded naming it.
     """
-    fp, fq, fb = _as_fraction(p), _as_fraction(q), _as_fraction(b)
-    if fb is None or fb <= 0:
-        raise EntropyError("b must be a positive real")
-    if fq is None:
-        below = critical = False  # q = inf exceeds the finite critical value
-    elif fp is None:
-        # convention: p/(pb+1) -> 1/b at p = infinity
-        below, critical = fq < 1 / fb, fq == 1 / fb
-    else:
-        # q ? p/(pb+1)  <=>  q (p b + 1) ? p
-        lhs = fq * (fp * fb + 1)
-        below, critical = lhs < fp, lhs == fp
-
-    pv = math.inf if fp is None else float(fp)
-    qv = math.inf if fq is None else float(fq)
-    bv = float(fb)
-    rp = 0.0 if fp is None else 1.0 / pv
-    rq = 0.0 if fq is None else 1.0 / qv
-    b_star = bv + rp - rq
-
-    if below:
-        return Regime(NONCOMPACT_A, b_star)
-    if critical:
-        if tail_summable_inv_b and liminf_n_mu_pos:
-            raise EntropyError(
-                "flags inconsistent: a positive liminf forces a divergent sum"
-            )
-        if liminf_n_mu_pos:
-            return Regime(NONCOMPACT_B, b_star)
-        if tail_summable_inv_b:
-            return Regime(
-                CRITICAL_II,
-                b_star,
-                lower_const=gamma_pq(pv, qv),
-                upper_const=1.0,
-            )
-        raise UnsupportedCorner(
-            "critical line with vanishing n mu_n^(1/b) and divergent sum"
-        )
-    lower = gamma_pq(pv, qv) * (bv / LN2) ** b_star
-    q_le_p = (fp is None) if fq is None else (fp is None or fq <= fp)
-    if q_le_p:
-        return Regime(
-            COMPACT_III,
-            b_star,
-            lower_const=lower,
-            upper_const=gamma_pqb(pv, qv, bv) * (bv / LN2 + 1.0) ** b_star,
-            exact_const=(bv / LN2) ** bv if (pv == 2.0 and qv == 2.0) else None,
-        )
-    return Regime(COMPACT_IV, b_star, lower_const=lower)
+    case, b_star, pv, qv, bv = _case(p, q, b, tail_summable_inv_b, liminf_n_mu_pos)
+    if case == CRITICAL_II:
+        return Regime(case, b_star, lower_const=gamma_pq(pv, qv), upper_const=1.0)
+    if case not in (COMPACT_III, COMPACT_IV):
+        return Regime(case, b_star)
+    lower = _scaled_power(
+        "lower constant Gamma_pq (b/ln2)^b*", gamma_pq(pv, qv), bv / LN2, b_star, ScanCapExceeded
+    )
+    if case == COMPACT_IV:
+        return Regime(case, b_star, lower_const=lower)
+    upper = _scaled_power(
+        "upper constant gamma_pqb (b/ln2 + 1)^b*",
+        gamma_pqb(pv, qv, bv), bv / LN2 + 1.0, b_star, ScanCapExceeded,
+    )
+    exact = None
+    if pv == 2.0 and qv == 2.0:
+        exact = _scaled_power("exact constant (b/ln2)^b", 1.0, bv / LN2, bv, ScanCapExceeded)
+    return Regime(case, b_star, lower_const=lower, upper_const=upper, exact_const=exact)
 
 
-def _finite(what: str, value) -> float:
-    """value, or an EntropyError naming ``what`` when it is not a finite
-    real float."""
+def _finite(what: str, value, error: type = EntropyError) -> float:
+    """value, or ``error`` naming ``what`` when it is not a finite real
+    float."""
     if not (isinstance(value, float) and math.isfinite(value)):
-        raise EntropyError(f"{what} leaves the float range")
+        raise error(f"{what} leaves the float range")
     return value
 
 
-def _scaled_power(what: str, factor: float, base: float, exponent: float) -> float:
-    """factor * base**exponent, or an EntropyError naming ``what`` when
-    the value leaves the (real) float range."""
+def _scaled_power(
+    what: str, factor: float, base: float, exponent: float, error: type = EntropyError
+) -> float:
+    """factor * base**exponent, or ``error`` naming ``what`` when the value
+    leaves the (real) float range."""
     try:
         out = factor * base**exponent
     except OverflowError:
         out = math.inf
-    return _finite(what, out)
+    return _finite(what, out, error)
 
 
 class EntropyBand(NamedTuple):
@@ -182,16 +205,12 @@ def canonical_band(
     if c <= 0 or b <= 0:
         raise EntropyError("b and c must be positive")
     pe, qe = as_exponent(p), as_exponent(q)
-    regime = classify(
-        math.inf if pe.is_inf else pe.value,
-        math.inf if qe.is_inf else qe.value,
-        b,
-    )
-    if regime.case not in (COMPACT_III, COMPACT_IV):
-        raise NonCompactRegime(f"no finite band in case {regime.case}")
-    bst = regime.b_star
+    # the case alone: the band edges need none of classify's constants
+    case, bst = _case(pe.value, qe.value, b, False, True)[:2]
+    if case not in (COMPACT_III, COMPACT_IV):
+        raise NonCompactRegime(f"no finite band in case {case}")
     lower = _scaled_power("lower band edge", b / LN2, gamma_pq(pe, qe) * c / eps, 1.0 / bst)
-    if regime.case == COMPACT_III:
+    if case == COMPACT_III:
         base = gamma_pqb(pe, qe, b) * c / eps
         upper = _scaled_power("upper band edge", b / LN2 + 1.0, base, 1.0 / bst)
         return EntropyBand(lower, upper, False)
@@ -199,15 +218,6 @@ def canonical_band(
     factor = math.log2(max(2.0, loginv)) if b >= 1.0 else loginv ** (1.0 - b)
     upper = _scaled_power("upper band edge", factor, eps, -1.0 / bst)
     return EntropyBand(lower, upper, True)
-
-
-def hilbert_leading(b: float, c: float, eps: float) -> float:
-    """Exact leading term b c^(1/b)/ln2 * eps^(-1/b) of the p=q=2 entropy."""
-    _check_radius(eps)
-    if c <= 0 or b <= 0:
-        raise EntropyError("b and c must be positive")
-    scale = _scaled_power("Hilbert leading term", b, c, 1.0 / b) / LN2
-    return _scaled_power("Hilbert leading term", scale, eps, -1.0 / b)
 
 
 def hilbert_second_order(
@@ -271,51 +281,3 @@ def effective_dimension(
             f"is below 1/q - 1/p = {e}"
         )
     return passing(model, Threshold(1, eps), e).last
-
-
-def sum_expansion_check(
-    alpha1: float, alpha2: float, c1: float, c2: float, d: int
-) -> Tuple[float, float]:
-    """(exact, approx) for sum_{n<=d} log2(mu_n/mu_d) under two-term decay.
-
-    approx = alpha1 d/ln2 + (1/a - 1) c2/(c1 ln2) d^a with
-    a = alpha1 - alpha2 + 1 > 0.
-    """
-    frak_a = alpha1 - alpha2 + 1.0
-    if frak_a <= 0:
-        raise EntropyError("requires alpha1 - alpha2 + 1 > 0")
-    if d < 1:
-        raise EntropyError("d must be >= 1")
-
-    def mu(n: int) -> float:
-        out = c1 * n ** (-alpha1) + c2 * n ** (-alpha2)
-        if not out > 0:
-            raise EntropyError(f"two-term law is not positive at n={n}")
-        return out
-
-    mu_d = mu(d)
-    exact = kahan_sum(math.log2(mu(n) / mu_d) for n in range(1, d + 1))
-    second = _scaled_power(
-        "second-order term", (1.0 / frak_a - 1.0) * c2 / (c1 * LN2), d, frak_a
-    )
-    return exact, _finite("expansion", alpha1 * d / LN2 + second)
-
-
-def invert_series(
-    alpha1: float, alpha2: float, c1: float, c2: float, g: float
-) -> float:
-    """Asymptotic inverse of g = c1 u^-a1 + c2 u^-a2 for small g.
-
-    u = c1^(1/a1) g^(-1/a1) + (c2 c1^((1-a2)/a1) / a1) g^(-(a1-a2+1)/a1),
-    accurate up to o() of the second term as g -> 0.
-    """
-    if not (0 < alpha1 < alpha2):
-        raise EntropyError("requires 0 < alpha1 < alpha2")
-    if c1 <= 0 or g <= 0:
-        raise EntropyError("c1 and g must be positive")
-    lead = _scaled_power(
-        "leading term", _scaled_power("leading term", 1.0, c1, 1.0 / alpha1), g, -1.0 / alpha1
-    )
-    scale = _scaled_power("correction term", c2, c1, (1.0 - alpha2) / alpha1) / alpha1
-    corr = _scaled_power("correction term", scale, g, -(alpha1 - alpha2 + 1.0) / alpha1)
-    return _finite("inverse", lead + corr)

@@ -23,8 +23,7 @@ results carry an explicit warning to that effect.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple, Tuple, Union
+from typing import NamedTuple, Tuple
 
 from .asymptotics import EntropyBand, canonical_band
 from .constants import ExponentLike, as_exponent
@@ -64,18 +63,6 @@ class BesovSpec(_Frozen):
 def coefficient_decay_exponent(spec: BesovSpec) -> float:
     """s/d - (1/p1 - 1/2), the decay of the coefficient semi-axes."""
     return spec.s / spec.d - (spec.p1.reciprocal() - 0.5)
-
-
-def decay_exponent_exact(
-    s: Union[int, Fraction], d: int, p1: Union[int, Fraction, None]
-) -> Fraction:
-    """The decay exponent as an exact rational; p1=None means infinity.
-
-    Useful for symbolic identities: the induced entropy exponent
-    b* = b + 1/p1 - 1/2 collapses to s/d exactly.
-    """
-    rp = Fraction(0) if p1 is None else Fraction(1, 1) / Fraction(p1)
-    return Fraction(s) / d - rp + Fraction(1, 2)
 
 
 def semi_axes_from_besov(spec: BesovSpec) -> Canonical:

@@ -107,15 +107,19 @@ class _InvalidOption(Exception):
     input instead of becoming argparse's usage error."""
 
 
-def _positive_finite(text: str) -> float:
-    """The ``type`` of ``--eps``: a positive finite float."""
+def _positive_finite(text: str, name: str = "--eps") -> float:
+    """The ``type`` of ``--eps`` and ``--eta``: a positive finite float."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not (value > 0 and math.isfinite(value)):
-        raise _InvalidOption(f"--eps must be a positive finite number, got {text!r}")
+        raise _InvalidOption(f"{name} must be a positive finite number, got {text!r}")
     return value
+
+
+def _positive_eta(text: str) -> float:
+    return _positive_finite(text, "--eta")
 
 
 def _parse_list(text: str, convert) -> tuple:
@@ -432,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--axes", required=True)
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
-    sp.add_argument("--eta", type=float, default=1.0)
+    sp.add_argument("--eta", type=_positive_eta, default=1.0)
     common(sp)
     sp.set_defaults(func=_cmd_bound_finite)
 
@@ -476,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", required=True)
     sp.add_argument("--q", required=True)
     sp.add_argument("--resolution", type=int, default=64)
-    sp.add_argument("--eta", type=float, default=1.0)
+    sp.add_argument("--eta", type=_positive_eta, default=1.0)
     common(sp)
     sp.set_defaults(func=_cmd_oracle)
 

@@ -48,6 +48,8 @@ class FiniteEllipsoid(_Frozen):
             raise EntropyError("axes must be positive")
         if any(b > a for a, b in zip(axes, axes[1:])):
             raise EntropyError("axes must be non-increasing")
+        if not all(map(math.isfinite, axes)):
+            raise EntropyError("axes must be finite")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "axes", axes)
 
@@ -117,6 +119,8 @@ def _admissible_radius(
     and smallest axis."""
     if eta <= 0:
         raise EntropyError("eta must be positive")
+    if not eta < math.inf:
+        raise EntropyError(f"eta must be finite, got {eta!r}")
     q = as_exponent(q)
     rp, rq = p.reciprocal(), q.reciprocal()
     if case == FD1:

@@ -29,7 +29,6 @@ import math
 from collections import Counter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from . import constants
 from .errors import EnumerationTooLarge, InvalidModel, ScanCapExceeded
 from .numerics import Threshold, _ceil_ratio, _check_radius, kahan_sum
 from .sequences import AXIS_CAP, SemiAxisModel, _above, axis, last_passing, passing
@@ -249,12 +248,3 @@ def optimal_covering(axes: Sequence[float], eps: float) -> List[Tuple[float, ...
     for a, m in zip(axes, counts):
         grids.append([-a + (2 * j - 1) * a / m for j in range(1, m + 1)])
     return list(itertools.product(*grids))
-
-
-def canonical_asymptotic(b: float, c: float, eps: float) -> float:
-    """Leading term c^(1/b) eps^(-1/b) S(b) of the canonical exact entropy.
-
-    The remainder is O(log(1/eps)) as eps -> 0.
-    """
-    _check_radius(eps)
-    return c ** (1.0 / b) * eps ** (-1.0 / b) * constants.zeta_series_constant(b)

@@ -10,7 +10,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import EntropyError
+from .errors import EntropyError, ScanCapExceeded
 
 
 class Interval(NamedTuple):
@@ -184,7 +184,19 @@ def _power_sum(s: float, a: int, b, s_err: float) -> tuple:
       ln(n/a), at most ln(b/a), and below ln(c/a) + 1/(s'-1) + 1 (less
       over a finite range), so an error e moves the sum by a factor within
       exp(+-e min(ln(b/a), ln(c/a) + 2 + 1/(s-1-e))).
+
+    From s near 3.2e18 on, the first of these bounds passes the float
+    range, and the kernel raises ScanCapExceeded naming s.
     """
+    try:
+        rounding = math.expm1((s + 2.0) * 2.0**-52)
+    except OverflowError:
+        rounding = math.inf
+    if rounding == math.inf:
+        raise ScanCapExceeded(
+            f"the power sum's rounding bound exp((s + 2) 2**-52) - 1 leaves the float "
+            f"range at s = {s!r}"
+        )
     terms: list = []
     cut = a
     if a < 16:
@@ -232,7 +244,7 @@ def _power_sum(s: float, a: int, b, s_err: float) -> tuple:
         terms.extend((n / a) ** -s for n in range(cut, min(cut + step, b + 1)))
         head = math.fsum(terms)
         cut += step
-    slack += (math.expm1((s + 2.0) * 2.0**-52) + 2.0**-50) * value + len(terms) * 2.0**-1074 / a
+    slack += (rounding + 2.0**-50) * value + len(terms) * 2.0**-1074 / a
     gap = s - 1.0 - s_err
     reach = math.log(cut / a) + 2.0 + 1.0 / gap if gap > 0 else math.inf
     spread = s_err * (min(math.log(b / a), reach) if b < math.inf else reach)

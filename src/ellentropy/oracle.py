@@ -157,12 +157,15 @@ def _window(
     axes: Tuple[float, ...], resolution: int, centre: np.ndarray, reach: float
 ) -> Tuple[slice, ...]:
     """Index box of the cells whose centres lie within ``reach`` of
-    ``centre`` on every axis, widened by one cell width on each side."""
+    ``centre`` on every axis, widened on each side by one cell width and
+    by the rounding of c +- reach + a, which passes the cell width once
+    reach is far wider than the axis."""
     box = []
     for a, c in zip(axes, centre.tolist()):
         w = 2.0 * a / resolution
-        lo = math.ceil((c - reach - w + a) / w - 0.5)
-        hi = math.floor((c + reach + w + a) / w - 0.5)
+        pad = w + 2.0**-50 * (abs(c) + reach + a)
+        lo = math.ceil((c - reach - pad + a) / w - 0.5)
+        hi = math.floor((c + reach + pad + a) / w - 0.5)
         box.append(slice(max(lo, 0), hi + 1))
     return tuple(box)
 

@@ -251,6 +251,8 @@ class Canonical(_Frozen):
     def __init__(self, b: float, c: float):
         if not (b > 0 and c > 0):
             raise InvalidModel("canonical model requires b > 0 and c > 0")
+        if not (b < math.inf and c < math.inf):
+            raise InvalidModel("canonical model requires finite b and c")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
@@ -340,6 +342,8 @@ class TwoTermPolynomial(_Frozen):
             raise InvalidModel("two-term model requires alpha1 < alpha2")
         if not self.axis(1) > 0:
             raise InvalidModel("two-term model requires mu_1 = c1 + c2 > 0")
+        if not all(map(math.isfinite, (c1, c2, alpha1, alpha2))):
+            raise InvalidModel("two-term model requires finite parameters")
 
     @property
     def decay_index(self) -> float:
@@ -543,6 +547,8 @@ class Tabulated(_Frozen):
                 raise InvalidModel("tabulated values must be non-increasing")
         if tail is not None and tail.axis(len(vals) + 1) > vals[-1]:
             raise InvalidModel("canonical tail exceeds last table value")
+        if not all(map(math.isfinite, vals)):
+            raise InvalidModel("tabulated values must be finite")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "tail", tail)
 

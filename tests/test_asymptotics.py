@@ -15,14 +15,11 @@ from ellentropy.asymptotics import (
     effective_dimension,
     entropy_estimator,
     gamma_pqb,
-    hilbert_leading,
     hilbert_second_order,
-    invert_series,
-    sum_expansion_check,
 )
 from ellentropy.constants import gamma_pq
 from ellentropy.errors import EntropyError, NonCompactRegime, ScanCapExceeded, UnsupportedCorner
-from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial, axis
+from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial, axis, cesaro_log_ratio
 
 INF = math.inf
 LN2 = math.log(2.0)
@@ -96,8 +93,38 @@ class TestClassify:
                         assert r.case == COMPACT_IV
         assert NONCOMPACT_A in cases and COMPACT_III in cases and COMPACT_IV in cases
 
+    @pytest.mark.parametrize("p, q, b, name", [
+        (2, 1, "137.532", "lower constant"),  # Compact_iii
+        (1, 2, 1000, "lower constant"),  # Compact_iv
+        (2, 2, "134.586", "upper constant"),  # the lower one still fits
+    ])
+    def test_constant_past_the_float_range_raises_naming_it(self, p, q, b, name):
+        with pytest.raises(ScanCapExceeded, match=f"{name} .* leaves the float range"):
+            classify(p, q, b)
+
+    @pytest.mark.parametrize("p, q, b", [
+        (2, 2, math.nan), (math.nan, 2, 1), (2, "nan", 1), (2, 2, "-inf"), (2, -INF, 1),
+        (2, 2, "x"), (2, 2, "1e400"), (2, 2, "1e-400"), (0, 2, 1), (2, "0.5", 1),
+    ])
+    def test_not_a_number_or_exponent_is_an_entropy_error(self, p, q, b):
+        with pytest.raises(EntropyError) as info:
+            classify(p, q, b)
+        assert type(info.value) is EntropyError
+
 
 class TestCanonicalBand:
+    @pytest.mark.parametrize("p, q, b", [(2, 1, 140.0), (1, 2, 1000.0), (2, 2, 1e17)])
+    def test_answers_where_the_regime_constants_overflow(self, p, q, b):
+        # classify's constants leave the float range; the edges do not use them
+        band = canonical_band(p, q, b, 1.0, 0.5)
+        bst = b + 1 / p - 1 / q
+        assert band.lower_bits == b / LN2 * (gamma_pq(p, q) * 1.0 / 0.5) ** (1.0 / bst)
+        assert math.isfinite(band.upper_bits)
+
+    def test_nan_decay_is_an_entropy_error(self):
+        with pytest.raises(EntropyError, match="b must be a real number"):
+            canonical_band(2, 2, math.nan, 1.0, 0.1)
+
     def test_overflow_names_the_edge(self):
         with pytest.raises(EntropyError, match="lower band edge leaves the float range"):
             canonical_band(2, 2, 0.005, 1, 1e-3)
@@ -147,24 +174,20 @@ class TestCanonicalBand:
                     assert band.lower_bits <= band.upper_bits
 
 
+def hilbert_leading(b, c, eps):
+    """The exact p = q = 2 leading term (b/ln2) (c/eps)^(1/b)."""
+    return b / LN2 * (c / eps) ** (1.0 / b)
+
+
 class TestHilbert:
-    def test_leading_values(self):
-        assert hilbert_leading(1, 1, 1e-4) == pytest.approx(1e4 / LN2)
-        assert hilbert_leading(2, 1, 1e-4) == pytest.approx(200 / LN2)
-
-    def test_c_scaling(self):
-        assert hilbert_leading(2, 4, 1e-3) == pytest.approx(2 * hilbert_leading(2, 1, 1e-3))
-
-    def test_overflow_is_typed(self):
-        with pytest.raises(EntropyError, match="Hilbert leading term leaves the float range"):
-            hilbert_leading(0.005, 1, 1e-3)
-
     def test_second_order_overflow_is_typed(self):
         with pytest.raises(EntropyError, match="Hilbert leading term leaves the float range"):
             hilbert_second_order(0.005, 0.006, 1.0, 1.0, 1e-3)
 
     def test_second_order_reduces_to_leading(self):
-        assert hilbert_second_order(1.0, 1.3, 2.0, 0.0, 1e-3) == hilbert_leading(1.0, 2.0, 1e-3)
+        for b, c, eps in ((1.0, 2.0, 1e-3), (2.0, 1.0, 1e-4), (0.5, 3.0, 1e-2)):
+            got = hilbert_second_order(b, b + 0.3, c, 0.0, eps)
+            assert got == pytest.approx(hilbert_leading(b, c, eps), rel=1e-14)
 
     def test_second_order_value(self):
         expected = 1000 / LN2 + 1000**0.75 / (0.75 * LN2)
@@ -250,68 +273,35 @@ class TestEffectiveDimension:
 
 
 class TestSumExpansion:
+    """sum_{n<=d} log2(mu_n/mu_d) of the two-term law, read from the model's
+    log-product as d times its Cesaro mean, against the expansion
+    alpha1 d/ln2 + (1/a - 1) c2/(c1 ln2) d^a with a = alpha1 - alpha2 + 1."""
+
+    @staticmethod
+    def exact(alpha1, alpha2, c1, c2, d):
+        return d * cesaro_log_ratio(TwoTermPolynomial(c1, c2, alpha1, alpha2), d)
+
+    @staticmethod
+    def approx(alpha1, alpha2, c1, c2, d):
+        a = alpha1 - alpha2 + 1.0
+        return alpha1 * d / LN2 + (1.0 / a - 1.0) * c2 / (c1 * LN2) * d**a
+
     def test_single_axis(self):
-        exact, _ = sum_expansion_check(1.0, 1.25, 1.0, 1.0, 1)
-        assert exact == 0.0
+        assert self.exact(1.0, 1.25, 1.0, 1.0, 1) == 0.0
 
     def test_pure_power_stirling(self):
         rel = []
         for d in (100, 1000, 10000):
-            exact, approx = sum_expansion_check(1.0, 1.5, 1.0, 0.0, d)
-            assert approx == pytest.approx(d / LN2)
-            rel.append(abs(exact - approx) / d)
+            exact = self.exact(1.0, 1.5, 1.0, 0.0, d)
+            rel.append(abs(exact - self.approx(1.0, 1.5, 1.0, 0.0, d)) / d)
         assert rel[0] > rel[1] > rel[2]
 
     def test_second_term_rate(self):
         vals = []
         for d in (10**3, 10**4, 10**5):
-            exact, approx = sum_expansion_check(1.0, 1.25, 1.0, 1.0, d)
-            vals.append(abs(exact - approx) / d**0.75)
+            exact = self.exact(1.0, 1.25, 1.0, 1.0, d)
+            vals.append(abs(exact - self.approx(1.0, 1.25, 1.0, 1.0, d)) / d**0.75)
         assert vals[0] > vals[1] > vals[2]
-
-    def test_exponent_guard(self):
-        with pytest.raises(EntropyError):
-            sum_expansion_check(1.0, 2.5, 1.0, 1.0, 10)
-
-    @pytest.mark.parametrize("args", [
-        (100.0, 1.0, 1.0, 1.0, 10**4),  # d**a with a = 100
-        (1.0, 1.5, 1e-300, 1e10, 10),  # c2 / c1
-    ])
-    def test_overflow_is_typed(self, args):
-        with pytest.raises(EntropyError, match="second-order term leaves the float range"):
-            sum_expansion_check(*args)
-
-    def test_non_positive_law_is_typed(self):
-        with pytest.raises(EntropyError, match="not positive at n=1"):
-            sum_expansion_check(1.0, 1.5, 1.0, -2.0, 10)
-
-
-class TestInvertSeries:
-    def test_pure_power_exact_inverse(self):
-        # g = c1 u^-a1 inverts exactly
-        u = invert_series(2.0, 3.0, 5.0, 0.0, 0.01)
-        assert 5.0 * u**-2.0 == pytest.approx(0.01, rel=1e-12)
-
-    def test_round_trip_residual_shrinks(self):
-        a1, a2, c1, c2 = 1.0, 1.4, 1.0, 0.7
-
-        def forward(u):
-            return c1 * u**-a1 + c2 * u**-a2
-
-        rel = []
-        for g in (1e-2, 1e-3, 1e-4):
-            u = invert_series(a1, a2, c1, c2, g)
-            rel.append(abs(forward(u) - g) / g)
-        assert rel[0] > rel[1] > rel[2]
-
-    def test_overflow_is_typed(self):
-        with pytest.raises(EntropyError, match="leading term leaves the float range"):
-            invert_series(0.005, 0.006, 1.0, 1.0, 1e-3)
-
-    def test_correction_sign(self):
-        base = invert_series(1.0, 1.5, 1.0, 0.0, 1e-3)
-        assert invert_series(1.0, 1.5, 1.0, 0.5, 1e-3) > base
-        assert invert_series(1.0, 1.5, 1.0, -0.5, 1e-3) < base
 
 
 def test_gamma_pqb_unit_when_p_equals_q():

@@ -6,7 +6,6 @@ import pytest
 from ellentropy.besov import (
     BesovSpec,
     besov_entropy_band,
-    decay_exponent_exact,
     semi_axes_from_besov,
 )
 from ellentropy.constants import HolderExponent
@@ -90,6 +89,12 @@ class TestBand:
             10 ** (d / s), rel=1e-12
         )
 
+    def test_answers_where_the_regime_constants_overflow(self):
+        # b = 300: (b/ln2)^b passes the float range, the band edges do not
+        bb = besov_entropy_band(spec(300.0, 1, 2, 1.0), 0.5)
+        assert bb.band.lower_bits == pytest.approx(300 / LN2 * 2 ** (1 / 300), rel=1e-14)
+        assert bb.band.lower_bits <= bb.band.upper_bits < math.inf
+
 
 class TestSymbolicExponentIdentity:
     @pytest.mark.parametrize(
@@ -97,6 +102,9 @@ class TestSymbolicExponentIdentity:
         [(1, 1, 2), (Fraction(3, 2), 2, 4), (2, 3, None), (Fraction(7, 5), 4, Fraction(5, 2))],
     )
     def test_b_star_collapses_to_s_over_d(self, s, d, p1):
-        b = decay_exponent_exact(s, d, p1)
         rp = Fraction(0) if p1 is None else Fraction(1, 1) / Fraction(p1)
+        b = Fraction(s) / d - rp + Fraction(1, 2)  # the decay exponent, exactly
         assert b + rp - Fraction(1, 2) == Fraction(s) / d
+        band = besov_entropy_band(spec(float(s), d, INF if p1 is None else float(p1), 1.0), 1e-2)
+        assert band.model.b == pytest.approx(float(b), rel=1e-15)
+        assert band.b_star == pytest.approx(float(s) / d, rel=1e-15)

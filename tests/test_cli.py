@@ -298,6 +298,59 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(out)["kind"] == "cap-exceeded"
 
+    @pytest.mark.parametrize("argv, expected, kind", [
+        # the regime constants leave the float range; the bands do not use them
+        (("classify", "--p", "2", "--q", "1", "--b", "137.532"), 4, "cap-exceeded"),
+        (("asymptotic", "--p", "2", "--q", "1", "--b", "140", "--eps", "0.5"), 0, "asymptotic"),
+        (("besov", "--s", "300", "--d", "1", "--p1", "2", "--vol", "1", "--eps", "0.5"),
+         0, "asymptotic"),
+        # the power-sum kernel's rounding bound leaves the float range
+        (("bound-infinite", "--model", "canonical:b=1e19,c=1", "--p", "2", "--q", "1",
+          "--eps", "0.5"), 4, "cap-exceeded"),
+        (("sweep", "--model", "canonical:b=7.38e17,c=1", "--what", "bound-infinite",
+          "--p", "3", "--q", "2", "--eps-grid", "0.5:0.1:2", "--format", "json"),
+         4, "cap-exceeded"),
+    ], ids=lambda x: x[0] if isinstance(x, tuple) else None)
+    def test_past_the_float_range_answers_or_is_4(self, capsys, argv, expected, kind):
+        code, out, _ = run(capsys, *argv)
+        assert code == expected
+        assert json.loads(out)["kind"] == kind
+
+    @pytest.mark.parametrize("argv", [
+        # these printed NaN or Infinity, which is not JSON, and exited 0
+        ("bound-finite", "--axes", "1,1,1", "--p", "2", "--q", "2", "--eps", "0.5", "--eta", "inf"),
+        ("bound-finite", "--axes", "1,1,1", "--p", "2", "--q", "2", "--eps", "0.5", "--eta", "nan"),
+        ("bound-finite", "--axes", "1,1,nan", "--p", "2", "--q", "2", "--eps", "0.5"),
+        ("bound-infinite", "--model", "canonical:b=inf,c=1", "--p", "2", "--q", "2",
+         "--eps", "0.1"),
+        # these raised a bare ValueError or OverflowError, so exited 1
+        ("classify", "--p", "2", "--q", "2", "--b", "nan"),
+        ("classify", "--p", "nan", "--q", "2", "--b", "1"),
+        ("asymptotic", "--p", "2", "--q", "2", "--b", "nan", "--eps", "0.1"),
+        ("exact", "--model", "table:values=inf", "--eps", "0.1"),
+        # b below the float range became 0.0, and 0/0 exited 1
+        ("classify", "--p", "2", "--q", "2", "--b", "1e-400"),
+        # bound-finite fell back to the volume bound with a warning, and
+        # oracle reported a product grid, both exiting 0
+        ("bound-finite", "--axes", "1,1,1", "--p", "2", "--q", "2", "--eps", "0.5", "--eta", "0"),
+        ("bound-finite", "--axes", "1,1,1", "--p", "2", "--q", "2", "--eps", "0.5", "--eta", "-1"),
+        ("oracle", "--axes", "1,0.9,0.8", "--p", "2", "--q", "2", "--eps", "0.5",
+         "--resolution", "8", "--eta", "0"),
+    ], ids=" ".join)
+    def test_number_out_of_its_range_is_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "invalid-input"
+
+    def test_oracle_with_a_reach_past_an_axis_answers(self, capsys):
+        # the snap window came out empty, and argmin raised a bare ValueError
+        code, out, _ = run(
+            capsys, "oracle", "--axes", "3.39791e+27,7.30267e+25,4.33166e-30", "--p", "3",
+            "--q", "1.5", "--eps", "41.3643", "--resolution", "13",
+        )
+        assert code == 0
+        assert json.loads(out)["all_ok"] is True
+
     def test_noncompact_besov_is_3(self, capsys):
         # s/d below 1/p1 - 1/2: the smoothness ball is not compact in L2
         code, _, _ = run(
@@ -592,7 +645,7 @@ def test_subcommand_loads_only_what_it_runs(subcommand):
 EXPORTS = {
     "asymptotics": (
         "Regime canonical_band classify effective_dimension entropy_estimator "
-        "hilbert_leading hilbert_second_order invert_series sum_expansion_check"
+        "hilbert_second_order"
     ),
     "besov": "BesovSpec besov_entropy_band semi_axes_from_besov",
     "block_decomp": (
@@ -607,10 +660,7 @@ EXPORTS = {
     "finite_bounds": (
         "FiniteBound FiniteEllipsoid admissible_radius density_upper_bound volume_lower_bound"
     ),
-    "hyperrect": (
-        "HyperrectEntropy canonical_asymptotic exact_entropy exact_entropy_counting "
-        "optimal_covering"
-    ),
+    "hyperrect": "HyperrectEntropy exact_entropy exact_entropy_counting optimal_covering",
     "numerics": "",
     "oracle": "OracleReport greedy_cover greedy_pack sandwich_report",
     "results": "BoundCertificate EntropyResult",

@@ -181,3 +181,9 @@ class TestProductGridFallback:
         eps = 0.3
         rep = greedy_pack(E, 2, eps, 64)
         assert math.log2(rep.pack_count) <= product_grid_upper_bound(E.axes, 2, eps)
+
+
+@pytest.mark.parametrize("eta", [math.inf, math.nan])
+def test_non_finite_eta_is_an_entropy_error(eta):
+    with pytest.raises(EntropyError, match="eta must be finite"):
+        density_upper_bound(FiniteEllipsoid(2, (1.0, 1.0, 1.0)), 2, 0.5, eta)

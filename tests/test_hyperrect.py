@@ -20,7 +20,6 @@ from ellentropy.hyperrect import (
     _directed_log2,
     _round53,
     _run_product,
-    canonical_asymptotic,
     exact_entropy,
     exact_entropy_counting,
     optimal_covering,
@@ -436,22 +435,30 @@ class TestMonotonicity:
 
 
 class TestCanonicalAsymptotic:
+    """exact_entropy of c/n^b against its leading term S(b) (c/eps)^(1/b)."""
+
+    @staticmethod
+    def leading(b, c, eps):
+        return zeta_series_constant(b) * (c / eps) ** (1.0 / b)
+
     def test_leading_value(self):
-        assert canonical_asymptotic(1.0, 1.0, 1e-3) == pytest.approx(
-            1e3 * zeta_series_constant(1.0), rel=1e-12
+        assert exact_entropy(Canonical(1.0, 1.0), 1e-3).bits == pytest.approx(
+            self.leading(1.0, 1.0, 1e-3), rel=0.02
         )
 
     def test_scale_homogeneity(self):
-        one = canonical_asymptotic(2.0, 1.0, 1e-2)
-        two = canonical_asymptotic(2.0, 2.0, 1e-2)
-        assert two == pytest.approx(2 ** (1 / 2.0) * one, rel=1e-12)
+        # c/n^b at eps is (2c)/n^b at 2 eps, axis by axis, so both the
+        # entropy and its leading term depend on c/eps only
+        one = exact_entropy(Canonical(2.0, 1.0), 1e-2).bits
+        two = exact_entropy(Canonical(2.0, 2.0), 2e-2).bits
+        assert one == two
+        assert self.leading(2.0, 2.0, 1e-2) == pytest.approx(
+            2 ** (1 / 2.0) * self.leading(2.0, 1.0, 1e-2), rel=1e-12
+        )
 
     def test_residual_per_log_bounded(self):
         vals = []
         for eps in (1e-2, 1e-3, 1e-4):
-            gap = abs(
-                exact_entropy(Canonical(1, 1), eps).bits
-                - canonical_asymptotic(1.0, 1.0, eps)
-            )
+            gap = abs(exact_entropy(Canonical(1, 1), eps).bits - self.leading(1.0, 1.0, eps))
             vals.append(gap / math.log2(1 / eps))
         assert max(vals) <= 2.0  # empirical constant, fixed at build time

@@ -220,6 +220,14 @@ class TestWindowedMatchesReference:
         assert greedy_cover(E, q, eps, res).cover_count == reference.cover_count(E, q, eps, res)
         assert greedy_pack(E, q, eps, res).pack_count == reference.pack_count(E, q, eps, res)
 
+    def test_window_covers_the_rounding_of_a_long_reach(self):
+        # the reach (about 19) rounds by far more than the cell width of
+        # the 4e-30 axis, which made the snap window empty there
+        E = ell(3, (3.39791e27, 7.30267e25, 4.33166e-30))
+        assert greedy_cover(E, 1.5, 41.3643, 13).cover_count == reference.cover_count(
+            E, 1.5, 41.3643, 13
+        )
+
 
 # (cover, pack) of the 50 acceptance criterion-5 instances at resolution
 # 64, as the full-grid oracle counted them

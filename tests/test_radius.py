@@ -9,7 +9,6 @@ from ellentropy.asymptotics import (
     canonical_band,
     effective_dimension,
     entropy_estimator,
-    hilbert_leading,
     hilbert_second_order,
 )
 from ellentropy.block_decomp import (
@@ -25,12 +24,7 @@ from ellentropy.finite_bounds import (
     product_grid_upper_bound,
     volume_lower_bound,
 )
-from ellentropy.hyperrect import (
-    canonical_asymptotic,
-    exact_entropy,
-    exact_entropy_counting,
-    optimal_covering,
-)
+from ellentropy.hyperrect import exact_entropy, exact_entropy_counting, optimal_covering
 from ellentropy.sequences import Canonical, Tabulated, counting
 
 MODEL = Canonical(1.0, 1.0)
@@ -48,9 +42,7 @@ ENTRY_POINTS = {
     "volume_lower_bound": lambda eps: volume_lower_bound(BODY, 2, eps),
     "density_upper_bound": lambda eps: density_upper_bound(BODY, 2, eps, 1.0),
     "product_grid_upper_bound": lambda eps: product_grid_upper_bound((1.0, 0.5), 2, eps),
-    "canonical_asymptotic": lambda eps: canonical_asymptotic(1.0, 1.0, eps),
     "canonical_band": lambda eps: canonical_band(2, 2, 1.0, 1.0, eps),
-    "hilbert_leading": lambda eps: hilbert_leading(1.0, 1.0, eps),
     "hilbert_second_order": lambda eps: hilbert_second_order(1.0, 1.25, 1.0, 1.0, eps),
     "mixed_upper_bound": lambda eps: mixed_upper_bound(MIXED, eps),
     "mixed_lower_bound": lambda eps: mixed_lower_bound(MIXED, eps),

@@ -337,6 +337,25 @@ def test_records_are_named_tuples(sample):
         (BesovSpec, (1, 0, 2, 1), EntropyError, "domain dimension must be >= 1"),
         (BesovSpec, (1, 1, 2, 0), EntropyError, "domain volume must be positive"),
         (BesovSpec, (1, 1, 0.5, 1), EntropyError, "Hoelder exponent must lie in [1, inf], got 0.5"),
+        # non-finite numbers, which the checks above let through
+        (Canonical, (math.inf, 1), InvalidModel, "canonical model requires finite b and c"),
+        (Canonical, (1, math.inf), InvalidModel, "canonical model requires finite b and c"),
+        (
+            TwoTermPolynomial,
+            (1, math.inf, 1, 2),
+            InvalidModel,
+            "two-term model requires finite parameters",
+        ),
+        (
+            TwoTermPolynomial,
+            (1, 1, 1, math.inf),
+            InvalidModel,
+            "two-term model requires finite parameters",
+        ),
+        (Tabulated, ((math.inf,),), InvalidModel, "tabulated values must be finite"),
+        (Tabulated, ((1, math.nan, 0.5),), InvalidModel, "tabulated values must be finite"),
+        (FiniteEllipsoid, (2, (math.inf, 1)), EntropyError, "axes must be finite"),
+        (FiniteEllipsoid, (2, (1, math.nan)), EntropyError, "axes must be finite"),
     ],
 )
 def test_validation_errors(cls, args, error, message):

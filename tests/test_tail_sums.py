@@ -26,7 +26,7 @@ import mpmath
 import pytest
 
 from ellentropy.block_decomp import infinite_upper_bound
-from ellentropy.errors import DivergentTail
+from ellentropy.errors import DivergentTail, ScanCapExceeded
 from ellentropy.sequences import Canonical, Tabulated, TwoTermPolynomial, tail_power_sum
 
 WINDOW = 3000
@@ -280,3 +280,19 @@ def test_tail_sum_cost_does_not_grow_with_d(call, budget):
         call()
         best = min(best, time.perf_counter() - start)
     assert best < budget
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tail_power_sum(Canonical(1e19, 1), 0, 1.0),
+    lambda: infinite_upper_bound(Canonical(1e19, 1), 2, 1, 0.5),  # s = 2e19
+    lambda: infinite_upper_bound(Canonical(7.38e17, 1), 3, 2, 0.5),  # s = 6 b
+], ids=["kernel", "bound-p2-q1", "bound-p3-q2"])
+def test_rounding_bound_past_the_float_range_raises_naming_s(call):
+    # the per-term bound exp((s + 2) 2**-52) - 1 overflows from s near 3.2e18
+    with pytest.raises(ScanCapExceeded, match="at s = "):
+        call()
+
+
+def test_rounding_bound_below_the_float_range_answers():
+    lo, hi = tail_power_sum(Canonical(1e18, 1), 0, 1.0)
+    assert lo <= 1.0 <= hi
