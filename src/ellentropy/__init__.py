@@ -22,8 +22,8 @@ _SOURCES = {
         "asymptotics": "Regime canonical_band classify effective_dimension entropy_estimator"
         " hilbert_second_order",
         "besov": "BesovSpec besov_entropy_band semi_axes_from_besov",
-        "block_decomp": "BlockPlan MixedEllipsoidSpec combined_radius infinite_upper_bound"
-        " mixed_lower_bound mixed_upper_bound tail_radius",
+        "block_decomp": "MixedEllipsoidSpec infinite_upper_bound mixed_lower_bound"
+        " mixed_upper_bound tail_radius",
         "constants": "HolderExponent as_exponent gamma_pq unit_ball_log_volume volume_ratio"
         " zeta zeta_series_constant",
         "errors": "EntropyError",

@@ -70,15 +70,22 @@ def _as_fraction(name: str, x: RationalLike) -> Optional[Fraction]:
         raise EntropyError(f"{name} must be a real number or inf, got {x!r}") from None
 
 
-def gamma_pqb(p: ExponentLike, q: ExponentLike, b: float) -> float:
-    """(b / (b + 1/p - 1/q))^(1/q - 1/p)."""
+def gamma_pqb(
+    p: ExponentLike, q: ExponentLike, b: float, b_star: Optional[float] = None
+) -> float:
+    """(b / b*)^(1/q - 1/p), with b* = b + 1/p - 1/q in floats unless given."""
     rp, rq = as_exponent(p).reciprocal(), as_exponent(q).reciprocal()
-    return (b / (b + rp - rq)) ** (rq - rp)
+    if b_star is None:
+        b_star = b + rp - rq
+    return (b / b_star) ** (rq - rp)
 
 
 def _case(p, q, b, tail_summable_inv_b: bool, liminf_n_mu_pos: bool) -> tuple:
     """(case, b*, p, q, b) of ``classify``, with p, q and b as floats: the
-    case from the exact test alone, before any constant is formed."""
+    case from the exact test alone, before any constant is formed.  b* is
+    b + 1/p - 1/q in floats, or, in a compact case where that is not
+    positive (within rounding of the critical line), the exact b* rounded
+    once."""
     fp, fq, fb = _as_fraction("p", p), _as_fraction("q", q), _as_fraction("b", b)
     if fb is None or fb <= 0:
         raise EntropyError("b must be a positive real")
@@ -121,6 +128,8 @@ def _case(p, q, b, tail_summable_inv_b: bool, liminf_n_mu_pos: bool) -> tuple:
     else:
         q_le_p = (fp is None) if fq is None else (fp is None or fq <= fp)
         case = COMPACT_III if q_le_p else COMPACT_IV
+        if b_star <= 0.0:
+            b_star = float(fb + (0 if fp is None else 1 / fp) - (0 if fq is None else 1 / fq))
     return case, b_star, pv, qv, bv
 
 
@@ -155,7 +164,7 @@ def classify(
         return Regime(case, b_star, lower_const=lower)
     upper = _scaled_power(
         "upper constant gamma_pqb (b/ln2 + 1)^b*",
-        gamma_pqb(pv, qv, bv), bv / LN2 + 1.0, b_star, ScanCapExceeded,
+        gamma_pqb(pv, qv, bv, b_star), bv / LN2 + 1.0, b_star, ScanCapExceeded,
     )
     exact = None
     if pv == 2.0 and qv == 2.0:
@@ -211,7 +220,7 @@ def canonical_band(
         raise NonCompactRegime(f"no finite band in case {case}")
     lower = _scaled_power("lower band edge", b / LN2, gamma_pq(pe, qe) * c / eps, 1.0 / bst)
     if case == COMPACT_III:
-        base = gamma_pqb(pe, qe, b) * c / eps
+        base = gamma_pqb(pe, qe, b, bst) * c / eps
         upper = _scaled_power("upper band edge", b / LN2 + 1.0, base, 1.0 / bst)
         return EntropyBand(lower, upper, False)
     loginv = math.log2(1.0 / eps)

@@ -15,33 +15,28 @@ converge, and for every model family here it diverges (n mu_n^(1/b)
 tends to c^(1/b) > 0), so the residual is not compact there.  A complete
 table has an empty residual past its end, and is case II at every q < p.
 
-Combined radii maximize the weighted q-combination over a finite weight
-set Omega.  Mixed ellipsoids (an outer weighted l2 norm over inner l2
-blocks) cover each leading block, a Euclidean ball, through the same
-explicit density bound, with weights drawn from the lattice
+Each finite block is covered by ``finite_bounds._block_cover``.  Mixed
+ellipsoids (an outer weighted l2 norm over inner l2 blocks) cover each
+leading block, a Euclidean ball, through the same cover at p = q = 2, with
+weights drawn from the lattice
 {omega : dbar^(2 gamma) omega_j^2 integer, ||omega||_2 <= 1 + sqrt(k+1)/dbar^gamma}.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
+from functools import partial
 from typing import Callable, Dict, Tuple
 
-from .constants import ExponentLike, HolderExponent, as_exponent
+from .constants import ExponentLike, as_exponent
 from .errors import (
     EntropyError,
     NonCompactRegime,
     ScanCapExceeded,
 )
-from .finite_bounds import (
-    FD1,
-    FD2,
-    FiniteBound,
-    _admissible_radius,
-    _density_upper_bound,
-    product_grid_upper_bound,
-)
+from .finite_bounds import _block_cover
 from .numerics import Threshold, _check_radius, _Frozen, kahan_sum
 from .results import CERTIFIED_LOWER, CERTIFIED_UPPER, BoundCertificate, EntropyResult
 from .sequences import (
@@ -61,35 +56,6 @@ CASE_II = "II"
 # and the case-I tail radius would need widening for it.
 _CUT_LIMIT = 2**53
 _LOG_LIMIT = math.log(_CUT_LIMIT + 0.5)
-
-
-class BlockPlan(_Frozen):
-    """A concrete decomposition: block sizes, per-block covering radii,
-    weight rows, and the residual tail radius."""
-
-    __slots__ = ("block_sizes", "inner_radii", "omega", "tail_case", "tail_radius")
-
-    def __init__(
-        self,
-        block_sizes: Tuple[int, ...],
-        inner_radii: Tuple[float, ...],
-        omega: Tuple[Tuple[float, ...], ...],
-        tail_case: str,
-        tail_radius: float,
-    ):
-        k = len(block_sizes)
-        if len(inner_radii) != k:
-            raise EntropyError("one inner radius per block required")
-        for row in omega:
-            if len(row) != k + 1:
-                raise EntropyError("omega rows must have length k+1")
-            if any(w < 0 for w in row):
-                raise EntropyError("omega weights must be non-negative")
-        object.__setattr__(self, "block_sizes", block_sizes)
-        object.__setattr__(self, "inner_radii", inner_radii)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "tail_case", tail_case)
-        object.__setattr__(self, "tail_radius", tail_radius)
 
 
 class MixedEllipsoidSpec(_Frozen):
@@ -113,28 +79,41 @@ def tail_radius(model: SemiAxisModel, d: int, p: ExponentLike, q: ExponentLike) 
     return _tail_radii(model, _pick_case(model, p, q), q.reciprocal() - p.reciprocal())(d)
 
 
-def combined_radius(plan: BlockPlan, q: ExponentLike) -> float:
-    """max over omega rows of the weighted q-combination of radii."""
-    q = as_exponent(q)
-    best = 0.0
-    for row in plan.omega:
-        parts = [w * r for w, r in zip(row, plan.inner_radii)]
-        parts.append(row[-1] * plan.tail_radius)
-        if q.is_inf:
-            rho = max(parts)
-        else:
-            rho = kahan_sum(x ** q.value for x in parts) ** (1.0 / q.value)
-        best = max(best, rho)
-    return best
-
-
 def _pick_case(model: SemiAxisModel, p, q) -> str:
+    """The tail case of (p, q); NonCompactRegime where ``asymptotics.classify``
+    finds the body not compact, on and below the critical line.
+
+    The float test e = 1/q - 1/p < b decides wherever e lies farther from
+    b than four times its rounding error; within that band the exact test
+    of ``classify`` does.  A compact case there whose float s = theta b is
+    at most 1 raises ScanCapExceeded: its tail sums cannot be enclosed in
+    floats (and its cut lies past 2**53 unless eps exceeds the reach of
+    the whole residual).
+    """
     rp, rq = p.reciprocal(), q.reciprocal()
     b = model.decay_index
     if rp >= rq:
         return CASE_I
     # a complete finite table (b None) has an empty residual from d = length
-    if b is None or rq - rp < b:
+    if b is None:
+        return CASE_II
+    e = rq - rp
+    # e misses the exact 1/q - 1/p by at most 2**-52 (rq + rp)
+    if abs(e - b) > 2.0**-50 * (rq + rp):
+        compact = e < b
+    else:
+        # imported here, so that a bound away from the line never loads it
+        from .asymptotics import COMPACT_III, COMPACT_IV, _case
+
+        compact = _case(p.value, q.value, b, False, True)[0] in (COMPACT_III, COMPACT_IV)
+        s = b * (1.0 / e)  # as the tail sums compute it
+        if compact and s <= 1.0:
+            raise ScanCapExceeded(
+                f"q lies within rounding of the critical line q = p/(pb+1), where "
+                f"theta*b rounds to {s!r}, at most 1: no tail sum can be enclosed in "
+                f"floats"
+            )
+    if compact:
         return CASE_II
     raise NonCompactRegime("q <= p/(pb+1), on or below the critical line: not compact in lq")
 
@@ -257,31 +236,6 @@ def _cut(model, case: str, tail_at, power: float, eps: float, target: float) -> 
     return last_passing(passes, lo, fail - 1, near=probe(u)) + 1
 
 
-def _density_cover(
-    p: HolderExponent, q: HolderExponent, d: int, mu_d: float, lg_gmean: float, rho: float
-) -> Tuple[FiniteBound, float]:
-    """The density bound on a block of dimension d >= 3, smallest axis mu_d
-    and log2 geometric mean lg_gmean at radius rho, with eta set to the
-    smallest value whose admissible radius reaches rho; returns the bound
-    and that eta."""
-    rp, rq = p.reciprocal(), q.reciprocal()
-    # each case's admissible radius at eta = 1; eta is rho over it
-    units = [(d ** (-max(rp - rq, 0.0)) * mu_d, FD1)]
-    if rp <= rq:
-        units.append((d ** (rq - rp) * mu_d, FD2))
-    eta, density_case = min((rho / u if u > 0.0 else math.inf, case) for u, case in units)
-    if not 0.0 < eta < math.inf:
-        raise ScanCapExceeded(
-            f"eta = rho / (d^x mu_d) at d={d}, mu_d={mu_d!r}, rho={rho!r} "
-            f"lies past the float range"
-        )
-    # eta * x * mu_d can round to just below rho; step eta up until the
-    # case's admissible radius reaches rho
-    while _admissible_radius(p, q, d, mu_d, eta, density_case)[1] < rho:
-        eta = math.nextafter(eta, math.inf)
-    return _density_upper_bound(p, q, d, mu_d, lg_gmean, rho, eta), eta
-
-
 def infinite_upper_bound(
     model: SemiAxisModel,
     p: ExponentLike,
@@ -297,7 +251,8 @@ def infinite_upper_bound(
     found by the model's own search; in case II a few tail evaluations
     placed by the power law of the tail radius find it (see ``_cut``).
     The finite block is then covered at the complementary radius through
-    the density bound, with eta set to the smallest admissible value.  A
+    ``finite_bounds._block_cover``: the density bound with eta set to the
+    smallest admissible value from d = 3 on, the product grid below.  A
     cut past 2**53, where float(d) rounds and the bound is no longer
     certified, raises ScanCapExceeded.
     """
@@ -342,20 +297,11 @@ def infinite_upper_bound(
                 # margin by up to half a step; one step down covers it
                 rho = math.nextafter(rho, 0.0)
 
-    notes = []
-    if d >= 3:
-        # the upper end of the log-product keeps the bound certified
-        fb, eta = _density_cover(p, q, d, axis(model, d), model.log_product(d).hi / d, rho)
-        bits = fb.log2_bound
-        kappa = fb.kappa_used
-        notes.append(f"density case {fb.case_tag}")
-    else:
-        axes = tuple(axis(model, n) for n in range(1, d + 1))
-        bits = product_grid_upper_bound(axes, q, rho)
-        eta = None
-        kappa = None
-        notes.append("product-grid fallback (d < 3)")
-
+    # the upper end of the log-product keeps the bound certified
+    bits, eta, kappa, route = _block_cover(
+        p, q, d, axis(model, d), lambda: model.log_product(d).hi / d, rho,
+        map(partial(axis, model), range(1, d + 1)),
+    )
     # Singleton weight set Omega = {(1, 1)} contributes log2(1) = 0.
     cert = BoundCertificate(
         effective_dimension=d,
@@ -366,7 +312,7 @@ def infinite_upper_bound(
         tail_case=case,
         eta=eta,
         kappa=kappa,
-        notes=tuple(notes),
+        notes=(route,),
     )
     return EntropyResult(bits, CERTIFIED_UPPER, eps), cert
 
@@ -412,12 +358,15 @@ def mixed_upper_bound(
     """Certified upper bound on the entropy of a mixed l2-of-l2 ellipsoid.
 
     Covers each of the k leading blocks (those with mu_j > eps), a
-    Euclidean ball of radius mu_j in d_j >= 3 dimensions, at radius eps
-    through the explicit density bound at p = q = 2, as
-    ``infinite_upper_bound`` covers its block, and pays log2(#Omega) for
-    the weight lattice.  The certified radius is the inflated
+    Euclidean ball of radius mu_j in d_j dimensions, at radius eps through
+    the block cover at p = q = 2, as ``infinite_upper_bound`` covers its
+    block: the explicit density bound from d_j = 3 on, the product grid of
+    the ball's bounding cube below.  It pays log2(#Omega) for the weight
+    lattice.  The certified radius is the inflated
     eps_gamma = eps (1 + sqrt(k+1)/dbar^gamma); every finite gamma >= 1
-    gives a certified bound, trading #Omega against the inflation.
+    gives a certified bound, trading #Omega against the inflation.  The
+    certificate notes name each block's route, in block order, unless
+    every block took the density bound.
     """
     if not 1.0 <= gamma < math.inf:
         raise EntropyError(f"gamma must be finite and >= 1, got {gamma!r}")
@@ -426,10 +375,17 @@ def mixed_upper_bound(
     dbar = sum(dims)
     n_omega = omega_lattice_count(dbar, k, gamma)
     l2 = as_exponent(2)
-    blocks = ((dj, axis(spec.semi_axes, j + 1)) for j, dj in enumerate(dims))
-    bits = math.log2(n_omega) + kahan_sum(
-        _density_cover(l2, l2, dj, mu, math.log2(mu), eps)[0].log2_bound for dj, mu in blocks
-    )
+    covers = []
+    for j, dj in enumerate(dims):
+        mu = axis(spec.semi_axes, j + 1)
+        covers.append(
+            _block_cover(l2, l2, dj, mu, partial(math.log2, mu), eps, itertools.repeat(mu, dj))
+        )
+    bits = math.log2(n_omega) + kahan_sum(block_bits for block_bits, *_ in covers)
+    if all(eta is not None for _, eta, _, _ in covers):
+        route = "explicit density bound per block (p = q = 2)"
+    else:
+        route = "per block (p = q = 2): " + ", ".join(note for *_, note in covers)
     eps_gamma = eps * (1.0 + dbar ** (-gamma) * math.sqrt(k + 1))
     cert = BoundCertificate(
         effective_dimension=dbar,
@@ -438,7 +394,7 @@ def mixed_upper_bound(
         tail_radius=_next_axis(spec.semi_axes, k),
         omega_count=n_omega,
         tail_case=CASE_I,
-        notes=("explicit density bound per block (p = q = 2)", f"gamma={gamma:g}"),
+        notes=(route, f"gamma={gamma:g}"),
     )
     return EntropyResult(bits, CERTIFIED_UPPER, eps_gamma), cert
 

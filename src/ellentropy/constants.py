@@ -47,7 +47,7 @@ class HolderExponent(_Frozen):
         return math.isinf(self.value)
 
     def reciprocal(self) -> float:
-        return 0.0 if self.is_inf else 1.0 / self.value
+        return 1.0 / self.value  # 1.0 / inf is exactly 0.0
 
     def __str__(self) -> str:
         return "inf" if self.is_inf else f"{self.value:g}"

@@ -23,7 +23,7 @@ the random and the saturating centers; it needs d >= 3 so ln ln d > 0.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence, Tuple
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .constants import ExponentLike, HolderExponent, as_exponent, volume_ratio
 from .errors import EntropyError, RadiusOutOfRange, ScanCapExceeded
@@ -234,3 +234,43 @@ def product_grid_upper_bound(
                 )
             counts[n] = 1
     return math.log2(math.prod(counts))
+
+
+def _block_cover(
+    p: HolderExponent,
+    q: HolderExponent,
+    d: int,
+    mu_d: float,
+    lg_gmean: Callable[[], float],
+    rho: float,
+    axes: Iterable[float],
+) -> Tuple[float, Optional[float], Optional[float], str]:
+    """Certified log2 of a cover at radius rho of a block of dimension d
+    and smallest axis mu_d; returns the bits, eta, kappa and the route
+    note of the certificate.
+
+    From d = 3 on it is the density bound, with eta the smallest value
+    whose admissible radius reaches rho and ``lg_gmean()`` a certified
+    upper end of the block's log2 geometric mean.  Below, it is the product
+    grid of ``axes``, the block's d semi-axes, and eta and kappa are None.
+    Each route reads only its own input.
+    """
+    if d < 3:
+        bits = product_grid_upper_bound(tuple(axes), q, rho)
+        return bits, None, None, "product-grid fallback (d < 3)"
+    lg = lg_gmean()
+    # eta is rho over each admissible case's radius at eta = 1
+    cases = (FD1, FD2) if p.reciprocal() <= q.reciprocal() else (FD1,)
+    units = ((_admissible_radius(p, q, d, mu_d, 1.0, case)[1], case) for case in cases)
+    eta, density_case = min((rho / u if u > 0.0 else math.inf, case) for u, case in units)
+    if not 0.0 < eta < math.inf:
+        raise ScanCapExceeded(
+            f"eta = rho / (d^x mu_d) at d={d}, mu_d={mu_d!r}, rho={rho!r} "
+            f"lies past the float range"
+        )
+    # eta * x * mu_d can round to just below rho; step eta up until the
+    # case's admissible radius reaches rho
+    while _admissible_radius(p, q, d, mu_d, eta, density_case)[1] < rho:
+        eta = math.nextafter(eta, math.inf)
+    fb = _density_upper_bound(p, q, d, mu_d, lg, rho, eta)
+    return fb.log2_bound, eta, fb.kappa_used, f"density case {fb.case_tag}"

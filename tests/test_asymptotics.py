@@ -60,6 +60,16 @@ class TestClassify:
         assert classify(4, Fraction(4, 3) + Fraction(1, 10**9), Fraction(1, 2)).case == COMPACT_III
         assert classify(4, Fraction(4, 3) - Fraction(1, 10**9), Fraction(1, 2)).case == NONCOMPACT_A
 
+    def test_b_star_stays_positive_where_its_float_sum_is_zero(self):
+        # b + 1/p - 1/q rounds to 0.0, while the exact b* is about 3.7e-17
+        b = 0.33333333333333337
+        r = classify(1.5, 1, b)
+        assert r.case == COMPACT_III
+        assert r.b_star == float(Fraction(b) + Fraction(2, 3) - 1) > 0.0
+        assert math.isfinite(r.upper_const)
+        # elsewhere b* keeps its float sum
+        assert classify(2, 1, 0.3).b_star == 0.3 + 0.5 - 1.0
+
     def test_unsupported_corner(self):
         with pytest.raises(UnsupportedCorner):
             classify(4, Fraction(4, 3), Fraction(1, 2), tail_summable_inv_b=False, liminf_n_mu_pos=False)

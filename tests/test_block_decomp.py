@@ -5,13 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ellentropy import block_decomp
+from ellentropy import block_decomp, finite_bounds
+from ellentropy.asymptotics import canonical_band, classify
 from ellentropy.block_decomp import (
-    CASE_I,
     CASE_II,
-    BlockPlan,
     MixedEllipsoidSpec,
-    combined_radius,
     infinite_upper_bound,
     mixed_lower_bound,
     mixed_upper_bound,
@@ -19,7 +17,11 @@ from ellentropy.block_decomp import (
     tail_radius,
 )
 from ellentropy.errors import EntropyError, NonCompactRegime, ScanCapExceeded
-from ellentropy.finite_bounds import _density_upper_bound, explicit_kappa
+from ellentropy.finite_bounds import (
+    _density_upper_bound,
+    explicit_kappa,
+    product_grid_upper_bound,
+)
 from ellentropy.hyperrect import exact_entropy
 from ellentropy.sequences import (
     Canonical,
@@ -35,21 +37,6 @@ from forwarding import Forwarding
 
 INF = math.inf
 EXPONENTS = (1.0, 1.5, 2.0, 3.0, INF)
-
-
-class TestCombinedRadius:
-    def test_pythagorean(self):
-        plan = BlockPlan((1,), (0.3,), ((1.0, 1.0),), CASE_I, 0.4)
-        assert combined_radius(plan, 2) == pytest.approx(0.5, rel=1e-14)
-
-    def test_sup_norm_takes_max(self):
-        plan = BlockPlan((1,), (0.3,), ((1.0, 1.0),), CASE_I, 0.4)
-        assert combined_radius(plan, INF) == 0.4
-
-    def test_max_over_rows(self):
-        plan = BlockPlan((1,), (0.3,), ((1.0, 0.0), (0.0, 1.0)), CASE_I, 0.4)
-        assert combined_radius(plan, 2) == 0.4
-        assert combined_radius(plan, 1) == 0.4
 
 
 class TestTailRadius:
@@ -218,7 +205,7 @@ class TestInfiniteUpperBound:
             bounds.append((eps, bound.valid_radius_range))
             return bound
 
-        monkeypatch.setattr(block_decomp, "_density_upper_bound", recording)
+        monkeypatch.setattr(finite_bounds, "_density_upper_bound", recording)
         head = tuple(0.9 * 0.82**i for i in range(24))
         models = [
             Canonical(2.0, 1.0),
@@ -242,6 +229,32 @@ class TestInfiniteUpperBound:
                 assert rho == cert.inner_radii[0]
                 assert lo < rho <= hi, (model, p, q, eps)
         assert answered > 1700
+
+    @pytest.mark.parametrize(
+        "p, q", [(p, q) for p in EXPONENTS for q in EXPONENTS if q < p], ids=str
+    )
+    def test_near_the_critical_line_agrees_with_classify(self, p, q):
+        # b at e = 1/q - 1/p in floats, an ulp either side, and the exact e
+        # rounded once: the bound is refused as non-compact exactly where
+        # classify says so, and otherwise answers or meets the float limits
+        e = (1.0 / q) - (0.0 if p == INF else 1.0 / p)
+        exact = Fraction(1) / Fraction(q) - (0 if p == INF else Fraction(1) / Fraction(p))
+        decays = {e, math.nextafter(e, 0.0), math.nextafter(e, INF), float(exact)}
+        for b in sorted(decays):
+            compact = classify(p, q, b).compact
+            try:
+                canonical_band(p, q, b, 1.0, 0.5)
+            except EntropyError:
+                pass
+            for eps in (0.5, 1e-3):
+                try:
+                    result, _ = infinite_upper_bound(Canonical(b, 1.0), p, q, eps)
+                except NonCompactRegime:
+                    assert not compact, (b, eps)
+                except ScanCapExceeded:
+                    assert compact, (b, eps)
+                else:
+                    assert compact and result.bits >= 0.0, (b, eps)
 
     def test_finite_table_any_radius(self):
         result, cert = infinite_upper_bound(Tabulated((1.0, 0.5, 0.25)), INF, INF, 0.2)
@@ -523,9 +536,25 @@ class TestMixedBounds:
             per_dim.append((up.bits - lo.bits) / (3 * m))
         assert all(a > b for a, b in zip(per_dim, per_dim[1:]))
 
-    def test_small_blocks_rejected(self):
-        with pytest.raises(EntropyError, match="d >= 3"):
-            mixed_upper_bound(self.spec(dims=(2, 9)), 0.5)
+    @pytest.mark.parametrize("dims", [(1, 9), (2, 9), (2, 3)])
+    def test_small_blocks_take_the_product_grid(self, dims):
+        # a leading ball of 1 or 2 dimensions is covered by the grid of its
+        # bounding cube, as infinite_upper_bound covers a block under d = 3
+        spec = self.spec(dims=dims)
+        up, cert = mixed_upper_bound(spec, 0.5)
+        assert cert.block_sizes == dims[:1]
+        assert cert.notes == ("per block (p = q = 2): product-grid fallback (d < 3)", "gamma=1")
+        grid = product_grid_upper_bound((1.0,) * dims[0], 2, 0.5)
+        assert up.bits == math.log2(cert.omega_count) + grid
+        assert mixed_lower_bound(spec, 0.5).bits <= up.bits
+
+    def test_notes_name_each_block_route(self):
+        spec = MixedEllipsoidSpec(Tabulated((1.0, 0.6, 0.4)), (9, 2, 3))
+        _, cert = mixed_upper_bound(spec, 0.3)
+        assert cert.notes[0] == (
+            "per block (p = q = 2): density case FD1, product-grid fallback (d < 3), "
+            "density case FD1"
+        )
 
     @pytest.mark.parametrize("dims", [(3, 9), (8, 9)])
     def test_blocks_from_dimension_3_answer(self, dims):

@@ -316,6 +316,53 @@ class TestExitCodes:
         assert code == expected
         assert json.loads(out)["kind"] == kind
 
+    @pytest.mark.parametrize("argv, expected, kind", [
+        # within an ulp of q = p/(pb+1) the float test of 1/q - 1/p < b gave
+        # the other side from classify's exact one (exit 4 on a non-compact
+        # body, exit 3 on a compact one)
+        (("bound-infinite", "--model", "canonical:b=0.16666666666666666,c=1", "--p", "2",
+          "--q", "1.5", "--eps", "0.5"), 3, "non-compact"),
+        (("bound-infinite", "--model", "canonical:b=0.33333333333333337,c=1", "--p", "1.5",
+          "--q", "1", "--eps", "0.5"), 4, "cap-exceeded"),
+        # compact, with theta*b rounding to 1.0: the tail sum raised
+        # DivergentTail, exit 2
+        (("bound-infinite", "--model", "canonical:b=0.33333333333333337,c=1", "--p", "3",
+          "--q", "1.5", "--eps", "0.5"), 4, "cap-exceeded"),
+        (("bound-infinite", "--model", "canonical:b=0.6666666666666667,c=1", "--p", "inf",
+          "--q", "1.5", "--eps", "0.5"), 4, "cap-exceeded"),
+        # b + 1/p - 1/q rounds to 0.0 in a compact case: ZeroDivisionError,
+        # exit 1
+        (("classify", "--p", "1.5", "--q", "1", "--b", "0.33333333333333337"), 0,
+         "classification"),
+    ], ids=lambda x: x[0] if isinstance(x, tuple) else None)
+    def test_near_the_critical_line_follows_classify(self, capsys, argv, expected, kind):
+        code, out, _ = run(capsys, *argv)
+        assert code == expected
+        assert json.loads(out)["kind"] == kind
+
+    def test_band_at_a_rounded_b_star_is_typed(self, capsys):
+        # b* = 3.7e-17 > 0 exactly, where the float b + 1/p - 1/q is 0.0
+        # (exit 1); the lower edge (Gamma c/eps)^(1/b*) leaves the float
+        # range, as every such band edge does, with exit 2
+        code, _, err = run(
+            capsys, "asymptotic", "--p", "1.5", "--q", "1", "--b", "0.33333333333333337",
+            "--eps", "0.1",
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "lower band edge leaves the float range"
+
+    def test_mixed_block_under_dimension_3_answers(self, capsys):
+        # the density bound needs d >= 3, and a leading block of 2
+        # dimensions went to it and exited 2
+        code, out, _ = run(
+            capsys, "mixed-bound", "--model", "canonical:b=1,c=1", "--dims", "2,3",
+            "--eps", "0.5",
+        )
+        assert code == 0
+        answer = json.loads(out)
+        assert answer["certificate"]["block_sizes"] == [2]
+        assert answer["lower"]["value_bits"] <= answer["value_bits"]
+
     @pytest.mark.parametrize("argv", [
         # these printed NaN or Infinity, which is not JSON, and exited 0
         ("bound-finite", "--axes", "1,1,1", "--p", "2", "--q", "2", "--eps", "0.5", "--eta", "inf"),
@@ -649,8 +696,7 @@ EXPORTS = {
     ),
     "besov": "BesovSpec besov_entropy_band semi_axes_from_besov",
     "block_decomp": (
-        "BlockPlan MixedEllipsoidSpec combined_radius infinite_upper_bound "
-        "mixed_lower_bound mixed_upper_bound tail_radius"
+        "MixedEllipsoidSpec infinite_upper_bound mixed_lower_bound mixed_upper_bound tail_radius"
     ),
     "constants": (
         "HolderExponent as_exponent gamma_pq unit_ball_log_volume volume_ratio "

@@ -140,14 +140,16 @@ class TestSandwich:
         rep = sandwich_report(ell(2, [1.0, 1e-6]), 2, 0.4, resolution=64)
         assert rep.all_ok
 
+    @pytest.mark.parametrize("dim", [3, 1, 2])
     @pytest.mark.parametrize("mu, eps, gamma", [(0.9, 0.5, 1), (1.0, 0.4, 1), (0.8, 0.35, 2)])
-    def test_mixed_route_at_d3_holds(self, mu, eps, gamma):
-        # a leading block of size 3 is a Euclidean ball of radius mu, and a
-        # packing of it at the inflated radius lower-bounds the mixed entropy
-        spec = MixedEllipsoidSpec(Tabulated((mu, 0.2)), (3, 5))
+    def test_mixed_route_at_d3_holds(self, mu, eps, gamma, dim):
+        # a leading block of size 3 (or 1 or 2, under the product grid) is a
+        # Euclidean ball of radius mu, and a packing of it at the inflated
+        # radius lower-bounds the mixed entropy
+        spec = MixedEllipsoidSpec(Tabulated((mu, 0.2)), (dim, 5))
         upper, cert = mixed_upper_bound(spec, eps, gamma)
-        assert cert.block_sizes == (3,)
-        pack = greedy_pack(ell(2, [mu] * 3), 2, upper.epsilon, 32).pack_count
+        assert cert.block_sizes == (dim,)
+        pack = greedy_pack(ell(2, [mu] * dim), 2, upper.epsilon, 32).pack_count
         assert math.log2(pack) <= upper.bits
 
     def test_report_fields(self):

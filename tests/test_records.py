@@ -16,7 +16,7 @@ import pytest
 
 from ellentropy.asymptotics import EntropyBand, Regime
 from ellentropy.besov import BesovBand, BesovSpec
-from ellentropy.block_decomp import BlockPlan, MixedEllipsoidSpec
+from ellentropy.block_decomp import MixedEllipsoidSpec
 from ellentropy.constants import HolderExponent
 from ellentropy.errors import EntropyError, InvalidModel
 from ellentropy.finite_bounds import FiniteBound, FiniteEllipsoid
@@ -74,25 +74,6 @@ SAMPLES = [
         },
         "FiniteBound(log2_bound=3.5, kind='upper', valid_radius_range=(0.0, 0.25), "
         "case_tag='FD1', kappa_used=1.5)",
-    ),
-    (
-        BlockPlan,
-        (
-            ("block_sizes", REQUIRED),
-            ("inner_radii", REQUIRED),
-            ("omega", REQUIRED),
-            ("tail_case", REQUIRED),
-            ("tail_radius", REQUIRED),
-        ),
-        {
-            "block_sizes": (3,),
-            "inner_radii": (0.1,),
-            "omega": ((1.0, 1.0),),
-            "tail_case": "I",
-            "tail_radius": 0.05,
-        },
-        "BlockPlan(block_sizes=(3,), inner_radii=(0.1,), omega=((1.0, 1.0),), "
-        "tail_case='I', tail_radius=0.05)",
     ),
     (
         MixedEllipsoidSpec,
@@ -200,7 +181,7 @@ def _id(sample):
 
 
 def test_every_class_is_a_record_or_a_value_class():
-    assert len(VALUE_CLASSES) == 8 and len(RECORDS) == 8
+    assert len(VALUE_CLASSES) == 7 and len(RECORDS) == 8
 
 
 @pytest.mark.parametrize("sample", SAMPLES, ids=_id)
@@ -313,19 +294,6 @@ def test_records_are_named_tuples(sample):
         (FiniteEllipsoid, (2, (1, 0)), EntropyError, "axes must be positive"),
         (FiniteEllipsoid, (2, (0.5, 1)), EntropyError, "axes must be non-increasing"),
         (FiniteEllipsoid, (0.5, (1,)), EntropyError, "Hoelder exponent must lie in [1, inf], got 0.5"),
-        (BlockPlan, ((3,), (), (), "I", 0.1), EntropyError, "one inner radius per block required"),
-        (
-            BlockPlan,
-            ((3,), (0.1,), ((1.0,),), "I", 0.1),
-            EntropyError,
-            "omega rows must have length k+1",
-        ),
-        (
-            BlockPlan,
-            ((3,), (0.1,), ((1.0, -1.0),), "I", 0.1),
-            EntropyError,
-            "omega weights must be non-negative",
-        ),
         (MixedEllipsoidSpec, (Canonical(1, 1), (0, 3)), EntropyError, "block dimensions must be >= 1"),
         (
             MixedEllipsoidSpec,
