@@ -15,31 +15,49 @@ counts, regardless of how the distance computations are batched.
 
 The grid is never materialized.  Each axis keeps one 1-D vector of its
 cell centres, and grid point (k_0, ..., k_{d-1}) is the tuple
-(side_0[k_0], ..., side_{d-1}[k_{d-1}]).  Distances over an index box are
-built from per-axis terms |side_j[lo:hi] - c_j| (squared for q = 2,
-raised to q otherwise) broadcast against each other and folded left to
+(side_0[k_0], ..., side_{d-1}[k_{d-1}]).  A distance is built from the
+per-axis terms term(side_j[k_j] - c_j), with term |x|, x * x for q = 2
+and |x| ** q otherwise, broadcast against each other and folded left to
 right, ((t_0 + t_1) + t_2), before the final root; the body mask is the
-same kernel on side_j / a_j.  Each term is the float a full-grid sweep computes for that
-coordinate, and numpy's reduction over a length-3 last axis adds in the
-same left-to-right order (max is exact in any order), so every distance,
-and hence every count, is bit-identical to the full-grid sweep of
-``tests/grid_reference.py``.
+same kernel on side_j / a_j.  Each term is the float a full-grid sweep
+computes for that coordinate, and numpy's reduction over a length-3 last
+axis adds in the same left-to-right order (max is exact in any order),
+so every distance, and hence every count, is bit-identical to the
+full-grid sweep of ``tests/grid_reference.py``.
 
-Each greedy step works on an index window: the sub-box of grid cells
-whose centres lie, on every axis, within the step's reach of its centre
-plus one cell width.  The reach is eps when marking cells covered, 2 eps
-when marking cells unavailable to the packing, and, when snapping a
-cover centre, a computed distance from the snap target to a retained
+Every greedy centre is a grid cell, and a cover's snap target is a cell
+plus a fixed shift, so each term a step reads is a fixed entry
+term(side_j[k] - (side_j[c] + shift_j)) of a res x res table per axis,
+built once per call by one numpy op on the same floats.  The tables are
+kept when they take no more doubles than the body mask's norms (res^d),
+which holds at d = 3; otherwise each step computes its rows from the
+same floats.  At q = 2 a test d <= r compares the sum of squares with
+the largest double whose sqrt is at most r: IEEE sqrt is correctly
+rounded, hence monotone, so the test is exact and skips the root.
+
+Each greedy step works on an index box that holds every cell the step
+can change.  Marking cells covered (radius eps) or unavailable to the
+packing (radius 2 eps) reads, per axis and per centre index, the exact
+extent of the cells whose own term passes the test, since for q in
+{1, 2, inf} a rounded fold of non-negative terms is never below any one
+of them; for other q, and where no table is kept, it uses the window below.
+The window holds the cells whose centres lie, on every axis, within the
+step's reach of its centre plus one cell width and the rounding of that
+reach.  The snap of a cover centre takes the retained cell holding the
+snap target when, for q in {1, 2, inf}, moving that cell one step along
+any axis makes it farther (``_alone_nearest``); otherwise it uses the
+window with reach a computed distance from the snap target to a retained
 cell, which the nearest retained cell cannot exceed.  A cell outside the
 window is more than reach + one cell width away in some coordinate, so
 its computed q-norm distance exceeds the reach as well and the full-grid
-test would leave it unchanged.  Inside the window, a marked cell stays
-marked and an unmarked one takes the full-grid test, and a C-ordered
-box keeps lexicographic order, so ``argmin`` breaks ties the same way.
-The counts therefore do not depend on the batching.  Because the set of
+test would leave it unchanged.  Inside the box, a marked cell stays
+marked and an unmarked one takes the full-grid test, and a C-ordered box
+keeps lexicographic order, so ``argmin`` breaks ties the same way.  The
+counts therefore do not depend on the batching.  Because the set of
 covered (or unavailable) cells only grows, the first uncovered (or
 available) cell in lexicographic order is found by a pointer that only
-moves forward.
+moves forward, and every cell whose first index lies below the pointer's
+is already marked, so a marking box starts at the pointer's first index.
 """
 
 from __future__ import annotations
@@ -78,47 +96,82 @@ class OracleReport(NamedTuple):
     delta: float
 
 
+def _is_tight(q: HolderExponent) -> bool:
+    """Whether q is 1, 2 or inf: a distance test then needs no root, and
+    the exact per-axis extents of its passing terms bound its cells."""
+    return q.is_inf or q.value in (1.0, 2.0)
+
+
+def _term(x: np.ndarray, q: HolderExponent) -> np.ndarray:
+    """The per-coordinate term of the q-norm of ``x``, elementwise."""
+    if q.is_inf or q.value == 1.0:
+        return np.abs(x)
+    if q.value == 2.0:
+        return x * x  # x * x == |x| * |x| exactly
+    return np.abs(x) ** q.value
+
+
 def _fold(terms: Sequence[np.ndarray], op) -> np.ndarray:
-    """``op`` over per-axis 1-D terms, left to right, on their open mesh:
-    term j varies along axis j, and the result has shape
-    ``(len(terms[0]), ..., len(terms[-1]))``."""
-    d = len(terms)
-    acc = terms[0].reshape((-1,) + (1,) * (d - 1))
-    for j in range(1, d):
-        acc = op(acc, terms[j].reshape((-1,) + (1,) * (d - 1 - j)))
+    """Terms shaped for an open mesh, broadcast and folded left to right by
+    ``op`` (``np.maximum`` for q = inf, ``np.add`` otherwise)."""
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = op(acc, t)
     return acc
+
+
+def _root(s: np.ndarray, q: HolderExponent, out=None) -> np.ndarray:
+    """The q-norms from their folded terms."""
+    if q.is_inf or q.value == 1.0:
+        return s
+    if q.value == 2.0:
+        return np.sqrt(s, out=out)
+    return np.power(s, 1.0 / q.value, out=out)
 
 
 def _qnorm(diffs: Sequence[np.ndarray], q: HolderExponent) -> np.ndarray:
     """q-norms over the open mesh of per-axis coordinate differences."""
-    if q.is_inf:
-        return _fold([np.abs(x) for x in diffs], np.maximum)
-    if q.value == 1.0:
-        return _fold([np.abs(x) for x in diffs], np.add)
-    if q.value == 2.0:
-        s = _fold([x * x for x in diffs], np.add)  # x * x == |x| * |x| exactly
-        return np.sqrt(s, out=s)
-    s = _fold([np.abs(x) ** q.value for x in diffs], np.add)
-    s **= 1.0 / q.value
-    return s
+    d = len(diffs)
+    terms = [_term(x, q).reshape(_axis_shape(j, d)) for j, x in enumerate(diffs)]
+    s = _fold(terms, np.maximum if q.is_inf else np.add)
+    return _root(s, q, out=s)
 
 
-def _vnorm(v: np.ndarray, q: HolderExponent) -> float:
-    """q-norm of one vector, with the arithmetic of ``_qnorm``.
+def _axis_shape(j: int, d: int) -> Tuple[int, ...]:
+    """The shape of a 1-D vector laid along axis j of a d-axis open mesh."""
+    return (1,) * j + (-1,) + (1,) * (d - 1 - j)
+
+
+def _vnorm(v: Sequence[float], q: HolderExponent) -> float:
+    """q-norm of one vector of floats, with the arithmetic of ``_qnorm``.
 
     For q in {1, 2, inf} the terms are folded left to right in Python
     floats, whose abs, +, * and sqrt round exactly as numpy's do; other
     exponents go through ``_qnorm`` itself, so the powers are numpy's.
     """
-    if not (q.is_inf or q.value in (1.0, 2.0)):
-        return _qnorm(v[:, None], q).item()
+    if not _is_tight(q):
+        return _qnorm(np.array(v)[:, None], q).item()
+    if q.is_inf:
+        return max(map(abs, v))
     acc = 0.0
-    for x in v.tolist():
-        if q.is_inf:
-            acc = max(acc, abs(x))
-        else:
-            acc += x * x if q.value == 2.0 else abs(x)
+    for x in v:
+        acc += x * x if q.value == 2.0 else abs(x)
     return math.sqrt(acc) if q.value == 2.0 else acc
+
+
+def _sqrt_bound(r: float) -> float:
+    """The largest double s with sqrt(s) <= r, for r >= 0 (inf at inf).
+
+    sqrt is correctly rounded, hence monotone, so sqrt(s) <= r exactly
+    when s <= this bound.  r * r is within a few ulps of it; from inf (r
+    past 1.3e154) the first walk steps down to the largest double.
+    """
+    s = r * r
+    while math.sqrt(s) > r:
+        s = math.nextafter(s, 0.0)
+    while s < math.inf and math.sqrt(math.nextafter(s, math.inf)) <= r:
+        s = math.nextafter(s, math.inf)
+    return s
 
 
 def _pnorm_mu(coords: Sequence[np.ndarray], axes: Sequence[float], p: HolderExponent) -> np.ndarray:
@@ -142,32 +195,147 @@ def _sides(axes: Tuple[float, ...], resolution: int) -> List[np.ndarray]:
     return [-a + (2 * np.arange(1, resolution + 1) - 1) * (a / resolution) for a in axes]
 
 
-def _point(sides: Sequence[np.ndarray], index) -> np.ndarray:
-    return np.array([side[k] for side, k in zip(sides, index)])
-
-
-def _box_qnorm(
-    sides: Sequence[np.ndarray], box: Tuple[slice, ...], centre: np.ndarray, q: HolderExponent
-) -> np.ndarray:
-    """q-norm distances from ``centre`` to every grid point of ``box``."""
-    return _qnorm([side[sl] - c for side, sl, c in zip(sides, box, centre)], q)
+def _unravel(i: int, shape: Sequence[int]) -> List[int]:
+    """The index of flat position ``i`` of a C-ordered array of ``shape``."""
+    index = []
+    for n in reversed(shape):
+        i, k = divmod(i, n)
+        index.append(k)
+    return index[::-1]
 
 
 def _window(
-    axes: Tuple[float, ...], resolution: int, centre: np.ndarray, reach: float
+    axes: Sequence[float], resolution: int, centre: Sequence[float], reach: float
 ) -> Tuple[slice, ...]:
     """Index box of the cells whose centres lie within ``reach`` of
     ``centre`` on every axis, widened on each side by one cell width and
     by the rounding of c +- reach + a, which passes the cell width once
-    reach is far wider than the axis."""
+    reach is far wider than the axis.  An infinite edge clamps to the grid."""
     box = []
-    for a, c in zip(axes, centre.tolist()):
+    for a, c in zip(axes, centre):
         w = 2.0 * a / resolution
         pad = w + 2.0**-50 * (abs(c) + reach + a)
-        lo = math.ceil((c - reach - pad + a) / w - 0.5)
-        hi = math.floor((c + reach + pad + a) / w - 0.5)
-        box.append(slice(max(lo, 0), hi + 1))
+        lo = (c - reach - pad + a) / w - 0.5
+        hi = (c + reach + pad + a) / w - 0.5
+        lo = math.ceil(lo) if lo > 0.0 else 0
+        hi = math.floor(hi) + 1 if hi < resolution else resolution
+        box.append(slice(lo, hi))
     return tuple(box)
+
+
+def _tabulates(tables_per_axis: int, d: int, resolution: int) -> bool:
+    """Whether a call keeps its res x res term tables: they may take no
+    more doubles than its body-norm array of res^d."""
+    return tables_per_axis * d * resolution**2 <= resolution**d
+
+
+class _Terms:
+    """The per-axis terms a greedy step reads from grid cell ``index``:
+    term(side_j[k] - (side_j[c_j] + offset_j)) over the cells k of a box,
+    each shaped along its own axis of the box's open mesh.  A step that
+    measures from the cell itself has offsets 0.0, which change no term.
+
+    With ``tabulate`` each axis keeps the table of every (c, k) pair, one
+    numpy op on the same floats; otherwise a step computes its rows.
+    """
+
+    def __init__(self, sides, q: HolderExponent, offsets: Sequence[float], tabulate: bool):
+        d = len(sides)
+        self.q = q
+        self._op = np.maximum if q.is_inf else np.add
+        self._sides = sides
+        self._offsets = offsets
+        self._shapes = [_axis_shape(j, d) for j in range(d)]
+        self._lead = [(slice(None),) * j for j in range(d)]
+        self.tables = None
+        if tabulate:
+            self.tables = [
+                _term(side - (side[:, None] + o), q).reshape((len(side),) + shape)
+                for side, o, shape in zip(sides, offsets, self._shapes)
+            ]
+
+    def folded(self, index: Sequence[int], box: Tuple[slice, ...]) -> np.ndarray:
+        """The folded terms over ``box``: q-norms before the root."""
+        if self.tables is not None:
+            rows = [
+                t[(c,) + lead + (sl,)]
+                for t, c, lead, sl in zip(self.tables, index, self._lead, box)
+            ]
+        else:
+            rows = [
+                _term(side[sl] - (side.item(c) + o), self.q).reshape(shape)
+                for side, c, o, sl, shape in zip(
+                    self._sides, index, self._offsets, box, self._shapes
+                )
+            ]
+        return _fold(rows, self._op)
+
+
+class _Ball:
+    """The cells a greedy step marks: those within ``radius`` of a grid
+    cell.  ``key`` maps the box's distances to values compared exactly
+    with ``bound``: sums of squares against ``_sqrt_bound`` at q = 2, the
+    distances themselves otherwise."""
+
+    def __init__(
+        self, sides, axes, resolution: int, q: HolderExponent, radius: float, tabulate: bool
+    ):
+        self.terms = _Terms(sides, q, [0.0] * len(sides), tabulate)
+        self.bound = _sqrt_bound(radius) if q.value == 2.0 else radius
+        self._rooted = not _is_tight(q)
+        self._sides = sides
+        self._axes = axes
+        self._resolution = resolution
+        self._radius = radius
+        self._extents = None
+        if self.terms.tables is not None and _is_tight(q):
+            # a fold of non-negative terms is never below any one of them,
+            # so the cells that can pass are those whose own term passes
+            self._extents = []
+            for t in self.terms.tables:
+                passes = t.reshape(resolution, resolution) <= self.bound
+                lo = passes.argmax(axis=1).tolist()
+                hi = (resolution - passes[:, ::-1].argmax(axis=1)).tolist()
+                self._extents.append([slice(*e) for e in zip(lo, hi)])
+        elif self.terms.tables is not None:
+            self._extents = [
+                [_window((a,), resolution, (x,), radius)[0] for x in side.tolist()]
+                for a, side in zip(axes, sides)
+            ]
+
+    def box(self, index: Sequence[int], first: int) -> Tuple[slice, ...]:
+        """An index box holding every cell within the radius of ``index``
+        whose first index is at least ``first``."""
+        if self._extents is None:
+            centre = [side.item(c) for side, c in zip(self._sides, index)]
+            box = _window(self._axes, self._resolution, centre, self._radius)
+        else:
+            box = tuple([e[c] for e, c in zip(self._extents, index)])
+        return (slice(max(box[0].start, first), box[0].stop),) + box[1:]
+
+    def key(self, index: Sequence[int], box: Tuple[slice, ...]) -> np.ndarray:
+        s = self.terms.folded(index, box)
+        return _root(s, self.terms.q) if self._rooted else s
+
+
+def _alone_nearest(sides, target, home, near, dist: float, q: HolderExponent) -> bool:
+    """Whether grid cell ``home``, with differences ``near`` from ``target``
+    and computed distance ``dist``, is nearer to target than every other
+    cell, for q in {1, 2, inf}.
+
+    Along axis j the terms |x| or x * x of side_j[k] - target_j fall and
+    then rise with k, and a fold of terms and its square root only grow
+    with each term.  So if home moved one cell either way along any axis
+    is farther, home holds the least term on every axis, and any other
+    cell, which differs from home along some axis, is at least as far as
+    home moved one cell along that axis toward it.  Along each axis the
+    nearer of the two moves is the one to test.
+    """
+    for j, (side, t, h) in enumerate(zip(sides, target, home)):
+        x = min(abs(side.item(k) - t) for k in (h - 1, h + 1) if 0 <= k < len(side))
+        if _vnorm(near[:j] + [x] + near[j + 1 :], q) <= dist:
+            return False
+    return True
 
 
 def _check_instance(E: FiniteEllipsoid, eps: float, resolution: int) -> None:
@@ -178,10 +346,11 @@ def _check_instance(E: FiniteEllipsoid, eps: float, resolution: int) -> None:
     _check_radius(eps)
 
 
-def _cell_half_widths(E: FiniteEllipsoid, resolution: int) -> np.ndarray:
-    return np.array(E.axes) / resolution
+def _cell_half_widths(E: FiniteEllipsoid, resolution: int) -> List[float]:
+    return [a / resolution for a in E.axes]
 
 
+@np.errstate(over="ignore")  # a distance past the float range is inf, as in a full sweep
 def greedy_cover(
     E: FiniteEllipsoid, q: ExponentLike, eps: float, resolution: int
 ) -> OracleReport:
@@ -195,16 +364,17 @@ def greedy_cover(
     Each step takes the first uncovered cell in lexicographic order (a
     forward-only pointer, as covered cells stay covered), snaps its
     shifted point to the nearest retained cell inside the window the snap
-    can reach, and marks cells covered inside the eps-window of the chosen
-    centre only.  Cells outside a window fail the full-grid distance test
+    can reach, and marks cells covered inside the eps-box of the chosen
+    centre only.  Cells outside a box fail the full-grid distance test
     too, so the count equals that of a full-grid sweep at every step.
     """
     q = as_exponent(q)
     _check_instance(E, eps, resolution)
+    d = E.dim
     half = _cell_half_widths(E, resolution)
+    widths = [2.0 * h for h in half]
     sides = _sides(E.axes, resolution)
-    axes = np.array(E.axes)
-    slack = _vnorm(half / axes, E.p)
+    slack = _vnorm([h / a for h, a in zip(half, E.axes)], E.p)
     retained = _pnorm_mu(sides, E.axes, E.p) <= 1.0 + slack
     delta = _vnorm(half, q)
 
@@ -213,8 +383,12 @@ def greedy_cover(
     # point itself if the snap lands outside radius eps).  In one dimension
     # this is the near-optimal interval rule; in higher dimensions it
     # advances a full frontier instead of hugging the scan axis.
-    diag = np.ones(len(E.axes))
-    shift = 0.95 * eps * diag / _vnorm(diag, q)
+    shift = [0.95 * eps / _vnorm([1.0] * d, q)] * d
+    tabulate = _tabulates(2, d, resolution)
+    tight = _is_tight(q)
+    snap = _Terms(sides, q, shift, tabulate)
+    ball = _Ball(sides, E.axes, resolution, q, eps, tabulate)
+    penalty = np.where(retained, 0.0, math.inf)  # masks the snap to retained cells
     covered = ~retained  # cells outside the body need no cover
     flat = covered.reshape(-1)
     count = i = 0
@@ -222,28 +396,41 @@ def greedy_cover(
         i += int(flat[i:].argmin())  # first uncovered in lex order
         if flat[i]:
             break
-        point = _point(sides, np.unravel_index(i, covered.shape))
-        target = point + shift
-        # the nearest retained cell is no farther from target than point,
-        # nor than the cell holding target when that one is retained
-        reach = _vnorm(point - target, q)
-        home = tuple(np.minimum((target + axes) // (2.0 * half), resolution - 1).astype(int))
+        index = _unravel(i, covered.shape)
+        point = [side.item(k) for side, k in zip(sides, index)]
+        target = [x + s for x, s in zip(point, shift)]
+        home = tuple(
+            [int(min((t + a) // w, resolution - 1)) for t, a, w in zip(target, E.axes, widths)]
+        )
+        centre, gap = None, math.inf
         if retained[home]:
-            reach = min(reach, _vnorm(_point(sides, home) - target, q))
-        box = _window(E.axes, resolution, target, reach)
-        dist = _box_qnorm(sides, box, target, q)
-        dist[~retained[box]] = np.inf
-        nearest = np.unravel_index(dist.argmin(), dist.shape)
-        centre = _point(sides, [sl.start + k for sl, k in zip(box, nearest)])
-        if _vnorm(centre - point, q) > eps:
-            centre = point
+            near = [side.item(k) - t for side, k, t in zip(sides, home, target)]
+            gap = _vnorm(near, q)
+            if tight and _alone_nearest(sides, target, home, near, gap, q):
+                centre = home
+        if centre is None:
+            # the nearest retained cell is no farther from target than
+            # point, nor than home, the cell holding target, if retained
+            reach = min(_vnorm([x - t for x, t in zip(point, target)], q), gap)
+            box = _window(E.axes, resolution, target, reach)
+            dist = _root(snap.folded(index, box), q) + penalty[box]
+            nearest = int(dist.argmin())
+            if reach == math.inf and dist.item(nearest) == math.inf:
+                # every distance overflowed: the full sweep takes the first
+                # retained cell, and an infinite reach made the box the grid
+                nearest = int(retained.reshape(-1).argmax())
+            centre = [sl.start + k for sl, k in zip(box, _unravel(nearest, dist.shape))]
+        moved = [side.item(c) - x for side, c, x in zip(sides, centre, point)]
+        if _vnorm(moved, q) > eps:
+            centre = index
         count += 1
-        box = _window(E.axes, resolution, centre, eps)
-        covered[box] |= _box_qnorm(sides, box, centre, q) <= eps
+        box = ball.box(centre, index[0])  # cells before index are covered
+        marked = covered[box]  # a view: |= marks the cells of covered
+        marked |= ball.key(centre, box) <= ball.bound
     return OracleReport(
         cover_count=count,
         pack_count=None,
-        grid_resolution=float(2.0 * half.max()),
+        grid_resolution=2.0 * max(half),
         delta=delta,
     )
 
@@ -251,6 +438,7 @@ def greedy_cover(
 def _greedy_pack_once(E: FiniteEllipsoid, q: HolderExponent, eps: float, resolution: int) -> int:
     sides = _sides(E.axes, resolution)
     available = _pnorm_mu(sides, E.axes, E.p) <= 1.0  # strict membership
+    ball = _Ball(sides, E.axes, resolution, q, 2.0 * eps, _tabulates(1, E.dim, resolution))
     flat = available.reshape(-1)
     count = i = 0
     while True:
@@ -258,11 +446,13 @@ def _greedy_pack_once(E: FiniteEllipsoid, q: HolderExponent, eps: float, resolut
         if not flat[i]:
             return count
         count += 1
-        point = _point(sides, np.unravel_index(i, available.shape))
-        box = _window(E.axes, resolution, point, 2.0 * eps)
-        available[box] &= _box_qnorm(sides, box, point, q) > 2.0 * eps
+        index = _unravel(i, available.shape)
+        box = ball.box(index, index[0])  # cells before index are unavailable
+        kept = available[box]  # a view: &= clears the cells of available
+        kept &= ball.key(index, box) > ball.bound
 
 
+@np.errstate(over="ignore")
 def greedy_pack(
     E: FiniteEllipsoid, q: ExponentLike, eps: float, resolution: int
 ) -> OracleReport:
@@ -283,7 +473,7 @@ def greedy_pack(
     return OracleReport(
         cover_count=None,
         pack_count=count,
-        grid_resolution=float(2.0 * half.max()),
+        grid_resolution=2.0 * max(half),
         delta=_vnorm(half, q),
     )
 

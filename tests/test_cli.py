@@ -398,6 +398,19 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["all_ok"] is True
 
+    def test_oracle_at_a_radius_past_the_float_squares_answers(self, capsys):
+        # the snap reach squared to inf, and the window raised a bare
+        # OverflowError; the counts are 1, and the product grid 0 bits
+        code, out, _ = run(
+            capsys, "oracle", "--axes", "1,0.5", "--p", "2", "--q", "2", "--eps", "1e200",
+            "--resolution", "8",
+        )
+        assert code == 0
+        answer = json.loads(out)
+        assert answer["all_ok"] is True
+        assert answer["report"]["cover_count"] == answer["report"]["pack_count"] == 1
+        assert answer["values"]["upper_at_eps"] == 0.0
+
     def test_noncompact_besov_is_3(self, capsys):
         # s/d below 1/p1 - 1/2: the smoothness ball is not compact in L2
         code, _, _ = run(

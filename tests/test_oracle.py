@@ -1,10 +1,12 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
 
 import grid_reference as reference
+from ellentropy import oracle
 from ellentropy.block_decomp import MixedEllipsoidSpec, mixed_upper_bound
 from ellentropy.constants import HolderExponent, as_exponent
 from ellentropy.errors import EnumerationTooLarge, EntropyError
@@ -116,6 +118,28 @@ class TestMemory:
                 tracemalloc.stop()
             assert peak < limit, (run.__name__, peak)
 
+    @pytest.mark.parametrize(
+        "axes,res,eps",
+        [
+            ((1.0,), 10**6, 0.01),
+            ((1.0,), 10**6, 0.4),
+            ((1.0, 0.8), 2048, 0.05),
+            ((1.0, 0.8), 2048, 0.4),
+        ],
+    )
+    def test_peak_below_four_body_norm_arrays(self, axes, res, eps):
+        # res x res distance tables would take terabytes at d = 1 and
+        # another 134 MB at d = 2; the body norms take 8 res^d bytes
+        limit = 4 * res ** len(axes) * 8
+        for run in (greedy_cover, greedy_pack):
+            tracemalloc.start()
+            try:
+                run(ell(2, axes), 2.0, eps, res)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (run.__name__, peak)
+
 
 class TestSandwich:
     def test_random_instances(self):
@@ -187,6 +211,25 @@ def _reference_cases():
     for q in (1.0, 2.0, INF):
         cases.append(pytest.param(2.0, (1.0, 1e-6), q, 0.3, 64, id=f"flat-q{q}"))
         cases.append(pytest.param(3.0, (1.0, 0.6, 0.3), q, 2.5, 16, id=f"huge-radius-q{q}"))
+    # radii whose squares, cubes or doubles leave the float range: the
+    # computed distances overflow to inf, and the full sweep warns
+    overflows = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    for axes in ((1.0, 0.5), (1.0, 0.6, 0.3)):
+        for q in EXPONENTS:
+            for eps in (1e154, 1e200, 1e308):
+                name = f"float-edge-d{len(axes)}-q{q}-eps{eps:g}"
+                cases.append(pytest.param(2.0, axes, q, eps, 8, id=name, marks=overflows))
+    # axes near 1e154, where every snap distance can overflow while the
+    # distances between cells do not, so the snapped centre must be the
+    # full sweep's first retained cell
+    for p, axes, eps in (
+        (1.0, (1e154, 1e154), 1e155),
+        (1.0, (1e154, 1e154, 1e154), 1e155),
+        (2.0, (1e154, 5e153, 5e153), 3e154),
+        (2.0, (3e154, 1.5e154), 3e155),
+    ):
+        name = f"huge-axes-d{len(axes)}-p{p}-eps{eps:g}"
+        cases.append(pytest.param(p, axes, 2.0, eps, 8, id=name, marks=overflows))
     return cases
 
 
@@ -221,6 +264,23 @@ class TestWindowedMatchesReference:
         assert (dist == eps).any() and (dist == 2.0 * eps).any()
         assert greedy_cover(E, q, eps, res).cover_count == reference.cover_count(E, q, eps, res)
         assert greedy_pack(E, q, eps, res).pack_count == reference.pack_count(E, q, eps, res)
+
+    @pytest.mark.parametrize("axes,res", [((0.9,), 25), ((0.9, 0.7), 12), ((0.9, 0.7, 0.55), 10)])
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_counts_equal_full_grid_sweep_at_computed_ties(self, axes, res, scale, step):
+        # eps (scale 1) or 2 eps (scale 1/2) at a non-dyadic q = 2 distance
+        # the full sweep computes, or one float either side of it
+        E = ell(2.0, axes)
+        points = reference._points(E, res)
+        dist = reference._qnorm(points - points[len(points) // 2], as_exponent(2)).tolist()
+        r = min(dist, key=lambda x: abs(x - 0.4 * axes[-1]))
+        assert r * 2**30 % 1 != 0  # not a dyadic tie
+        eps = scale * r
+        if step:
+            eps = math.nextafter(eps, step * INF)
+        assert greedy_cover(E, 2, eps, res).cover_count == reference.cover_count(E, 2, eps, res)
+        assert greedy_pack(E, 2, eps, res).pack_count == reference.pack_count(E, 2, eps, res)
 
     def test_window_covers_the_rounding_of_a_long_reach(self):
         # the reach (about 19) rounds by far more than the cell width of
@@ -258,3 +318,85 @@ class TestGoldenCounts:
             eps = 0.75 * d ** (-max(rp - rq, 0.0)) * axes[-1]
             counts.append((greedy_cover(E, q, eps, 64).cover_count, greedy_pack(E, q, eps, 64).pack_count))
         assert counts == CRITERION_5_COUNTS
+
+
+STEP_GRIDS = [
+    ((0.9,), 11),
+    ((0.9, 0.7), 9),
+    ((0.9, 0.7, 0.55), 8),
+    ((3.39791e27, 7.30267e25, 4.33166e-30), 13),
+]
+
+
+class TestStepDistances:
+    @pytest.mark.parametrize("tabulate", [True, False])
+    @pytest.mark.parametrize("q", EXPONENTS)
+    @pytest.mark.parametrize("axes,res", STEP_GRIDS)
+    def test_equal_the_full_sweep_byte_for_byte(self, axes, res, q, tabulate):
+        # from a cell, and from a cell plus a snap shift, to every cell
+        q = as_exponent(q)
+        d = len(axes)
+        sides = oracle._sides(axes, res)
+        grid = reference._grid(axes, res)
+        full = (slice(0, res),) * d
+        for offsets in ([0.0] * d, [0.37 * axes[-1]] * d):
+            terms = oracle._Terms(sides, q, offsets, tabulate)
+            for index in ((0,) * d, (res // 2,) * d, (res - 1,) * d):
+                want = reference._qnorm(grid - (grid[index] + offsets), q)
+                got = oracle._root(terms.folded(index, full), q)
+                assert got.tobytes() == want.tobytes(), (offsets, index)
+
+    @pytest.mark.parametrize("tabulate", [True, False])
+    @pytest.mark.parametrize("q", EXPONENTS)
+    @pytest.mark.parametrize("axes,res", STEP_GRIDS)
+    def test_marked_cells_equal_the_full_sweep_at_a_tie(self, axes, res, q, tabulate):
+        # the radius is a computed distance from the centre, so one cell
+        # sits exactly on it; every cell within it lies inside the box
+        q = as_exponent(q)
+        d = len(axes)
+        grid = reference._grid(axes, res)
+        centre, other = (res // 2,) * d, (res // 2 - 2,) * d
+        radius = float(reference._qnorm(grid[other] - grid[centre], q))
+        ball = oracle._Ball(oracle._sides(axes, res), axes, res, q, radius, tabulate)
+        box = ball.box(centre, 0)
+        marked = ball.key(centre, box) <= ball.bound
+        want = reference._qnorm(grid - grid[centre], q) <= radius
+        assert (marked == want[box]).all()
+        assert marked.sum() == want.sum()
+        assert marked[tuple(k - sl.start for k, sl in zip(other, box))]
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, INF])
+    @pytest.mark.parametrize("axes,res", STEP_GRIDS)
+    def test_alone_nearest_is_the_full_sweeps_sole_nearest_cell(self, axes, res, q):
+        # targets inside a cell, past its edge, and on its edge (a tie)
+        q = as_exponent(q)
+        rng = random.Random(7)
+        sides = oracle._sides(axes, res)
+        grid = reference._grid(axes, res)
+        answers = []
+        for _ in range(200):
+            home = tuple(rng.randrange(res) for _ in axes)
+            target = [
+                side.item(k) + rng.choice([0.5, -0.5, rng.uniform(-0.7, 0.7)]) * 2 * a / res
+                for side, k, a in zip(sides, home, axes)
+            ]
+            near = [side.item(k) - t for side, k, t in zip(sides, home, target)]
+            alone = oracle._alone_nearest(sides, target, home, near, oracle._vnorm(near, q), q)
+            dist = reference._qnorm(grid - target, q)
+            nearer = int((dist <= dist[home]).sum()) - 1  # other cells as near as home
+            assert not alone or nearer == 0, (home, target)
+            answers.append(alone)
+        # a move along the 4e-30 axis is lost in the rounding of the other
+        # terms, so no cell of that grid is ever alone
+        assert any(answers) == (min(axes) > 1e-20) and not all(answers)
+
+    @pytest.mark.parametrize(
+        "r", [5e-324, 1e-160, 0.3, 1.0, 1e154, 1e200, sys.float_info.max, INF]
+    )
+    def test_sqrt_bound_is_the_largest_passing_sum(self, r):
+        s = oracle._sqrt_bound(r)
+        assert math.sqrt(s) <= r
+        if r == INF:
+            assert s == INF
+        else:
+            assert r < math.sqrt(math.nextafter(s, INF))
