@@ -36,28 +36,26 @@ the largest double whose sqrt is at most r: IEEE sqrt is correctly
 rounded, hence monotone, so the test is exact and skips the root.
 
 Each greedy step works on an index box that holds every cell the step
-can change.  Marking cells covered (radius eps) or unavailable to the
-packing (radius 2 eps) reads, per axis and per centre index, the exact
-extent of the cells whose own term passes the test, since for q in
-{1, 2, inf} a rounded fold of non-negative terms is never below any one
-of them; for other q, and where no table is kept, it uses the window below.
-The window holds the cells whose centres lie, on every axis, within the
-step's reach of its centre plus one cell width and the rounding of that
-reach.  The snap of a cover centre takes the retained cell holding the
-snap target when, for q in {1, 2, inf}, moving that cell one step along
-any axis makes it farther (``_alone_nearest``); otherwise it uses the
-window with reach a computed distance from the snap target to a retained
-cell, which the nearest retained cell cannot exceed.  A cell outside the
-window is more than reach + one cell width away in some coordinate, so
-its computed q-norm distance exceeds the reach as well and the full-grid
-test would leave it unchanged.  Inside the box, a marked cell stays
-marked and an unmarked one takes the full-grid test, and a C-ordered box
-keeps lexicographic order, so ``argmin`` breaks ties the same way.  The
-counts therefore do not depend on the batching.  Because the set of
-covered (or unavailable) cells only grows, the first uncovered (or
-available) cell in lexicographic order is found by a pointer that only
-moves forward, and every cell whose first index lies below the pointer's
-is already marked, so a marking box starts at the pointer's first index.
+can change.  Where the tables are kept and q is 1, 2 or inf, marking
+cells covered (radius eps) or unavailable to the packing (radius 2 eps)
+reads, per axis and per centre index, the exact extent of the cells
+whose own term passes the test, since a rounded fold of non-negative
+terms is never below any one of them.  Every other step uses a window:
+the cells whose centres lie, on every axis, within the step's reach of
+its centre plus one cell width and the rounding of that reach.  The
+snap of a cover centre uses a window with reach a computed distance
+from the snap target to a retained cell, which the nearest retained cell
+cannot exceed.  A cell outside a window is more than reach + one cell
+width away in some coordinate, so its computed q-norm distance exceeds
+the reach as well and the full-grid test would leave it unchanged.
+Inside the box, a marked cell stays marked and an unmarked one takes the
+full-grid test, and a C-ordered box keeps lexicographic order, so
+``argmin`` breaks ties the same way.  The counts therefore do not depend
+on the batching.  Because the set of covered (or unavailable) cells only
+grows, the first uncovered (or available) cell in lexicographic order is
+found by a pointer that only moves forward, and every cell whose first
+index lies below the pointer's is already marked, so a marking box
+starts at the pointer's first index.
 """
 
 from __future__ import annotations
@@ -229,46 +227,34 @@ def _tabulates(tables_per_axis: int, d: int, resolution: int) -> bool:
     return tables_per_axis * d * resolution**2 <= resolution**d
 
 
-class _Terms:
-    """The per-axis terms a greedy step reads from grid cell ``index``:
-    term(side_j[k] - (side_j[c_j] + offset_j)) over the cells k of a box,
-    each shaped along its own axis of the box's open mesh.  A step that
-    measures from the cell itself has offsets 0.0, which change no term.
+def _tables(sides, q: HolderExponent, offsets: Sequence[float]) -> List[np.ndarray]:
+    """Per axis, the table of term(side_j[k] - (side_j[c] + offset_j)) over
+    every (c, k), one numpy op on the floats a step computes; row c is
+    shaped along axis j of the open mesh."""
+    d = len(sides)
+    return [
+        _term(side - (side[:, None] + o), q).reshape((len(side),) + _axis_shape(j, d))
+        for j, (side, o) in enumerate(zip(sides, offsets))
+    ]
 
-    With ``tabulate`` each axis keeps the table of every (c, k) pair, one
-    numpy op on the same floats; otherwise a step computes its rows.
-    """
 
-    def __init__(self, sides, q: HolderExponent, offsets: Sequence[float], tabulate: bool):
-        d = len(sides)
-        self.q = q
-        self._op = np.maximum if q.is_inf else np.add
-        self._sides = sides
-        self._offsets = offsets
-        self._shapes = [_axis_shape(j, d) for j in range(d)]
-        self._lead = [(slice(None),) * j for j in range(d)]
-        self.tables = None
-        if tabulate:
-            self.tables = [
-                _term(side - (side[:, None] + o), q).reshape((len(side),) + shape)
-                for side, o, shape in zip(sides, offsets, self._shapes)
-            ]
-
-    def folded(self, index: Sequence[int], box: Tuple[slice, ...]) -> np.ndarray:
-        """The folded terms over ``box``: q-norms before the root."""
-        if self.tables is not None:
-            rows = [
-                t[(c,) + lead + (sl,)]
-                for t, c, lead, sl in zip(self.tables, index, self._lead, box)
-            ]
-        else:
-            rows = [
-                _term(side[sl] - (side.item(c) + o), self.q).reshape(shape)
-                for side, c, o, sl, shape in zip(
-                    self._sides, index, self._offsets, box, self._shapes
-                )
-            ]
-        return _fold(rows, self._op)
+def _folded(sides, q: HolderExponent, index, offsets, box, tables) -> np.ndarray:
+    """The folded terms (q-norms before the root) from grid cell ``index``
+    plus ``offsets`` to the cells of ``box``, read from ``tables`` when
+    they are kept and computed from the same floats otherwise.  Offsets
+    0.0 measure from the cell itself and change no term."""
+    d = len(sides)
+    if tables is None:
+        rows = [
+            _term(side[sl] - (side.item(c) + o), q).reshape(_axis_shape(j, d))
+            for j, (side, c, o, sl) in enumerate(zip(sides, index, offsets, box))
+        ]
+    else:
+        rows = [
+            t[(c,) + (slice(None),) * j + (sl,)]
+            for j, (t, c, sl) in enumerate(zip(tables, index, box))
+        ]
+    return _fold(rows, np.maximum if q.is_inf else np.add)
 
 
 class _Ball:
@@ -280,28 +266,26 @@ class _Ball:
     def __init__(
         self, sides, axes, resolution: int, q: HolderExponent, radius: float, tabulate: bool
     ):
-        self.terms = _Terms(sides, q, [0.0] * len(sides), tabulate)
         self.bound = _sqrt_bound(radius) if q.value == 2.0 else radius
+        self._q = q
         self._rooted = not _is_tight(q)
         self._sides = sides
         self._axes = axes
         self._resolution = resolution
         self._radius = radius
+        self._zeros = [0.0] * len(sides)
+        self._tables = _tables(sides, q, self._zeros) if tabulate else None
         self._extents = None
-        if self.terms.tables is not None and _is_tight(q):
+        if tabulate and _is_tight(q):
             # a fold of non-negative terms is never below any one of them,
-            # so the cells that can pass are those whose own term passes
+            # so the cells that can pass are those whose own term passes;
+            # a row's own cell (term 0.0) always passes
             self._extents = []
-            for t in self.terms.tables:
+            for t in self._tables:
                 passes = t.reshape(resolution, resolution) <= self.bound
                 lo = passes.argmax(axis=1).tolist()
                 hi = (resolution - passes[:, ::-1].argmax(axis=1)).tolist()
                 self._extents.append([slice(*e) for e in zip(lo, hi)])
-        elif self.terms.tables is not None:
-            self._extents = [
-                [_window((a,), resolution, (x,), radius)[0] for x in side.tolist()]
-                for a, side in zip(axes, sides)
-            ]
 
     def box(self, index: Sequence[int], first: int) -> Tuple[slice, ...]:
         """An index box holding every cell within the radius of ``index``
@@ -314,28 +298,8 @@ class _Ball:
         return (slice(max(box[0].start, first), box[0].stop),) + box[1:]
 
     def key(self, index: Sequence[int], box: Tuple[slice, ...]) -> np.ndarray:
-        s = self.terms.folded(index, box)
-        return _root(s, self.terms.q) if self._rooted else s
-
-
-def _alone_nearest(sides, target, home, near, dist: float, q: HolderExponent) -> bool:
-    """Whether grid cell ``home``, with differences ``near`` from ``target``
-    and computed distance ``dist``, is nearer to target than every other
-    cell, for q in {1, 2, inf}.
-
-    Along axis j the terms |x| or x * x of side_j[k] - target_j fall and
-    then rise with k, and a fold of terms and its square root only grow
-    with each term.  So if home moved one cell either way along any axis
-    is farther, home holds the least term on every axis, and any other
-    cell, which differs from home along some axis, is at least as far as
-    home moved one cell along that axis toward it.  Along each axis the
-    nearer of the two moves is the one to test.
-    """
-    for j, (side, t, h) in enumerate(zip(sides, target, home)):
-        x = min(abs(side.item(k) - t) for k in (h - 1, h + 1) if 0 <= k < len(side))
-        if _vnorm(near[:j] + [x] + near[j + 1 :], q) <= dist:
-            return False
-    return True
+        s = _folded(self._sides, self._q, index, self._zeros, box, self._tables)
+        return _root(s, self._q) if self._rooted else s
 
 
 def _check_instance(E: FiniteEllipsoid, eps: float, resolution: int) -> None:
@@ -385,8 +349,7 @@ def greedy_cover(
     # advances a full frontier instead of hugging the scan axis.
     shift = [0.95 * eps / _vnorm([1.0] * d, q)] * d
     tabulate = _tabulates(2, d, resolution)
-    tight = _is_tight(q)
-    snap = _Terms(sides, q, shift, tabulate)
+    snaps = _tables(sides, q, shift) if tabulate else None
     ball = _Ball(sides, E.axes, resolution, q, eps, tabulate)
     penalty = np.where(retained, 0.0, math.inf)  # masks the snap to retained cells
     covered = ~retained  # cells outside the body need no cover
@@ -399,27 +362,23 @@ def greedy_cover(
         index = _unravel(i, covered.shape)
         point = [side.item(k) for side, k in zip(sides, index)]
         target = [x + s for x, s in zip(point, shift)]
+        # the nearest retained cell is no farther from target than point,
+        # nor than the cell holding target when that one is retained
+        reach = _vnorm([x - t for x, t in zip(point, target)], q)
         home = tuple(
             [int(min((t + a) // w, resolution - 1)) for t, a, w in zip(target, E.axes, widths)]
         )
-        centre, gap = None, math.inf
         if retained[home]:
             near = [side.item(k) - t for side, k, t in zip(sides, home, target)]
-            gap = _vnorm(near, q)
-            if tight and _alone_nearest(sides, target, home, near, gap, q):
-                centre = home
-        if centre is None:
-            # the nearest retained cell is no farther from target than
-            # point, nor than home, the cell holding target, if retained
-            reach = min(_vnorm([x - t for x, t in zip(point, target)], q), gap)
-            box = _window(E.axes, resolution, target, reach)
-            dist = _root(snap.folded(index, box), q) + penalty[box]
-            nearest = int(dist.argmin())
-            if reach == math.inf and dist.item(nearest) == math.inf:
-                # every distance overflowed: the full sweep takes the first
-                # retained cell, and an infinite reach made the box the grid
-                nearest = int(retained.reshape(-1).argmax())
-            centre = [sl.start + k for sl, k in zip(box, _unravel(nearest, dist.shape))]
+            reach = min(reach, _vnorm(near, q))
+        box = _window(E.axes, resolution, target, reach)
+        dist = _root(_folded(sides, q, index, shift, box, snaps), q) + penalty[box]
+        nearest = int(dist.argmin())
+        if reach == math.inf and dist.item(nearest) == math.inf:
+            # every distance overflowed: the full sweep takes the first
+            # retained cell, and an infinite reach made the box the grid
+            nearest = int(retained.reshape(-1).argmax())
+        centre = [sl.start + k for sl, k in zip(box, _unravel(nearest, dist.shape))]
         moved = [side.item(c) - x for side, c, x in zip(sides, centre, point)]
         if _vnorm(moved, q) > eps:
             centre = index

@@ -340,10 +340,10 @@ class TestStepDistances:
         grid = reference._grid(axes, res)
         full = (slice(0, res),) * d
         for offsets in ([0.0] * d, [0.37 * axes[-1]] * d):
-            terms = oracle._Terms(sides, q, offsets, tabulate)
+            tables = oracle._tables(sides, q, offsets) if tabulate else None
             for index in ((0,) * d, (res // 2,) * d, (res - 1,) * d):
                 want = reference._qnorm(grid - (grid[index] + offsets), q)
-                got = oracle._root(terms.folded(index, full), q)
+                got = oracle._root(oracle._folded(sides, q, index, offsets, full, tables), q)
                 assert got.tobytes() == want.tobytes(), (offsets, index)
 
     @pytest.mark.parametrize("tabulate", [True, False])
@@ -364,31 +364,6 @@ class TestStepDistances:
         assert (marked == want[box]).all()
         assert marked.sum() == want.sum()
         assert marked[tuple(k - sl.start for k, sl in zip(other, box))]
-
-    @pytest.mark.parametrize("q", [1.0, 2.0, INF])
-    @pytest.mark.parametrize("axes,res", STEP_GRIDS)
-    def test_alone_nearest_is_the_full_sweeps_sole_nearest_cell(self, axes, res, q):
-        # targets inside a cell, past its edge, and on its edge (a tie)
-        q = as_exponent(q)
-        rng = random.Random(7)
-        sides = oracle._sides(axes, res)
-        grid = reference._grid(axes, res)
-        answers = []
-        for _ in range(200):
-            home = tuple(rng.randrange(res) for _ in axes)
-            target = [
-                side.item(k) + rng.choice([0.5, -0.5, rng.uniform(-0.7, 0.7)]) * 2 * a / res
-                for side, k, a in zip(sides, home, axes)
-            ]
-            near = [side.item(k) - t for side, k, t in zip(sides, home, target)]
-            alone = oracle._alone_nearest(sides, target, home, near, oracle._vnorm(near, q), q)
-            dist = reference._qnorm(grid - target, q)
-            nearer = int((dist <= dist[home]).sum()) - 1  # other cells as near as home
-            assert not alone or nearer == 0, (home, target)
-            answers.append(alone)
-        # a move along the 4e-30 axis is lost in the rounding of the other
-        # terms, so no cell of that grid is ever alone
-        assert any(answers) == (min(axes) > 1e-20) and not all(answers)
 
     @pytest.mark.parametrize(
         "r", [5e-324, 1e-160, 0.3, 1.0, 1e154, 1e200, sys.float_info.max, INF]
